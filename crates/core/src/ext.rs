@@ -10,6 +10,7 @@
 //!   circuit/microarchitectural simulation.
 
 use gpu_isa::{Kernel, Opcode};
+use gpu_runtime::LaunchRecord;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -108,6 +109,9 @@ impl ExtHandle {
 pub struct ExtInjector {
     fault: ExtFault,
     rng: StdRng,
+    /// Running counts, published to `record` as each launch completes so
+    /// the per-execution path takes no lock.
+    counts: ExtRecord,
     record: Arc<Mutex<ExtRecord>>,
 }
 
@@ -119,8 +123,12 @@ impl ExtInjector {
             _ => 0,
         };
         let record = Arc::new(Mutex::new(ExtRecord::default()));
-        let inj =
-            ExtInjector { fault, rng: StdRng::seed_from_u64(seed), record: Arc::clone(&record) };
+        let inj = ExtInjector {
+            fault,
+            rng: StdRng::seed_from_u64(seed),
+            counts: ExtRecord::default(),
+            record: Arc::clone(&record),
+        };
         (NvBit::new(inj), ExtHandle(record))
     }
 
@@ -148,21 +156,21 @@ impl NvBitTool for ExtInjector {
         if thread.meta.sm != self.fault.sm_id || thread.meta.lane != self.fault.lane_id {
             return;
         }
-        let opportunity = {
-            let mut rec = self.record.lock();
-            let o = rec.opportunities;
-            rec.opportunities += 1;
-            o
-        };
+        let opportunity = self.counts.opportunities;
+        self.counts.opportunities += 1;
         if !self.active(opportunity) {
             return;
         }
-        self.record.lock().activations += 1;
+        self.counts.activations += 1;
         // Multi-register corruption: every GPR destination unit is affected.
         for reg in site.instr.gpr_dests() {
             let old = thread.read_reg(reg);
             thread.write_reg(reg, self.fault.corruption.apply(old));
         }
+    }
+
+    fn on_kernel_complete(&mut self, _record: &LaunchRecord) {
+        *self.record.lock() = self.counts.clone();
     }
 }
 
@@ -224,6 +232,8 @@ pub struct DictInjector {
     sm_id: u32,
     lane_id: u32,
     rng: StdRng,
+    /// Running counts, published to `record` as each launch completes.
+    counts: ExtRecord,
     record: Arc<Mutex<ExtRecord>>,
 }
 
@@ -241,6 +251,7 @@ impl DictInjector {
             sm_id,
             lane_id,
             rng: StdRng::seed_from_u64(seed),
+            counts: ExtRecord::default(),
             record: Arc::clone(&record),
         };
         (NvBit::new(inj), ExtHandle(record))
@@ -263,15 +274,19 @@ impl NvBitTool for DictInjector {
         let Some(entry) = self.dict.get(site.instr.opcode()).copied() else {
             return;
         };
-        self.record.lock().opportunities += 1;
+        self.counts.opportunities += 1;
         if !self.rng.gen_bool(entry.manifest_prob.clamp(0.0, 1.0)) {
             return;
         }
-        self.record.lock().activations += 1;
+        self.counts.activations += 1;
         for reg in site.instr.gpr_dests() {
             let old = thread.read_reg(reg);
             thread.write_reg(reg, entry.corruption.apply(old));
         }
+    }
+
+    fn on_kernel_complete(&mut self, _record: &LaunchRecord) {
+        *self.record.lock() = self.counts.clone();
     }
 }
 

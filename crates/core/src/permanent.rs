@@ -8,6 +8,7 @@
 
 use crate::params::PermanentParams;
 use gpu_isa::{Kernel, Opcode};
+use gpu_runtime::LaunchRecord;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -38,6 +39,9 @@ impl PermanentHandle {
 pub struct PermanentInjector {
     params: PermanentParams,
     opcode: Opcode,
+    /// Running counts, published to `record` as each launch completes so
+    /// the per-execution path takes no lock.
+    counts: PermanentRecord,
     record: Arc<Mutex<PermanentRecord>>,
 }
 
@@ -51,7 +55,12 @@ impl PermanentInjector {
     pub fn new(params: PermanentParams) -> (NvBit<PermanentInjector>, PermanentHandle) {
         let opcode = params.opcode();
         let record = Arc::new(Mutex::new(PermanentRecord::default()));
-        let inj = PermanentInjector { params, opcode, record: Arc::clone(&record) };
+        let inj = PermanentInjector {
+            params,
+            opcode,
+            counts: PermanentRecord::default(),
+            record: Arc::clone(&record),
+        };
         (NvBit::new(inj), PermanentHandle(record))
     }
 }
@@ -66,15 +75,13 @@ impl NvBitTool for PermanentInjector {
     }
 
     fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
-        let mut rec = self.record.lock();
-        rec.executions += 1;
+        self.counts.executions += 1;
         // The fault lives at one physical (SM, lane): only threads that map
         // there activate it (Table III).
         if thread.meta.sm != self.params.sm_id || thread.meta.lane != self.params.lane_id {
             return;
         }
-        rec.activations += 1;
-        drop(rec);
+        self.counts.activations += 1;
         for reg in site.instr.gpr_dests() {
             thread.corrupt_reg(reg, self.params.bit_mask);
         }
@@ -83,6 +90,10 @@ impl NvBitTool for PermanentInjector {
                 thread.corrupt_pred(p);
             }
         }
+    }
+
+    fn on_kernel_complete(&mut self, _record: &LaunchRecord) {
+        *self.record.lock() = self.counts.clone();
     }
 }
 

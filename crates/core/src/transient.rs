@@ -17,7 +17,7 @@ use crate::bitflip::BitFlipModel;
 use crate::igid::InstrGroup;
 use crate::params::TransientParams;
 use gpu_isa::{Instr, Kernel, Opcode, PReg, Reg, RegSlot};
-use gpu_runtime::KernelLaunchInfo;
+use gpu_runtime::{KernelLaunchInfo, LaunchRecord};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -123,6 +123,8 @@ pub fn select_destination(
 /// The transient injector tool (attachable via [`nvbit::NvBit`]).
 pub struct TransientInjector {
     params: TransientParams,
+    /// Group instructions seen so far; published to the record as each
+    /// launch completes, so counting takes no lock.
     seen: u64,
     record: Arc<Mutex<InjectionRecord>>,
 }
@@ -187,8 +189,8 @@ impl NvBitTool for TransientInjector {
     fn device_call(&mut self, site: &CallSite<'_>, thread: &mut gpu_sim::ThreadCtx<'_>) {
         let index = self.seen;
         self.seen += 1;
-        self.record.lock().group_instrs_seen = self.seen;
-        if self.record.lock().injected || index != self.params.instruction_count {
+        // `seen` only grows, so the target index matches exactly once.
+        if index != self.params.instruction_count {
             return;
         }
         let target = self.corrupt(site, thread);
@@ -202,6 +204,10 @@ impl NvBitTool for TransientInjector {
             global_tid: thread.meta.global_tid(),
             target,
         });
+    }
+
+    fn on_kernel_complete(&mut self, _record: &LaunchRecord) {
+        self.record.lock().group_instrs_seen = self.seen;
     }
 }
 

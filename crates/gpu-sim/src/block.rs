@@ -16,7 +16,7 @@ use crate::hooks::{InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
 use crate::memory::{GlobalMem, SharedMem};
 use crate::regfile::RegFile;
 use crate::trap::{TrapInfo, TrapKind};
-use gpu_isa::{ExecFamily, Kernel, Modifier, Operand, ShflMode, WARP_SIZE};
+use gpu_isa::{ExecFamily, Kernel, Modifier, Operand, ShflMode, Space, WARP_SIZE};
 
 pub(crate) struct ThreadState {
     pub regs: RegFile,
@@ -53,11 +53,42 @@ pub(crate) struct BlockState {
     pub shared: SharedMem,
     pub nwarps: usize,
     pub flat_ctaid: u32,
+    /// Threads that have not exited yet.
+    live: usize,
 }
 
 enum StepOutcome {
     Ran,
     Idle,
+}
+
+/// The source values of a cross-lane instruction's active lanes, captured
+/// at issue before any lane writes its result.
+struct WarpSnapshot {
+    /// Lanes that execute the instruction.
+    active: u32,
+    /// `srcs[0]` as a value, indexed by lane.
+    vals: [u32; WARP_SIZE],
+    /// Lanes whose `srcs[0]` predicate holds.
+    preds: u32,
+}
+
+impl WarpSnapshot {
+    /// The value of `lane` if it is active.
+    fn val(&self, lane: u32) -> Option<u32> {
+        (lane < WARP_SIZE as u32 && self.active & (1 << lane) != 0)
+            .then(|| self.vals[lane as usize])
+    }
+}
+
+/// Whether any instruction of `kernel` addresses local memory. Only such
+/// kernels get a per-thread local allocation: no other instruction can
+/// reach it.
+pub(crate) fn uses_local_memory(kernel: &Kernel) -> bool {
+    kernel
+        .instrs()
+        .iter()
+        .any(|i| i.srcs.iter().any(|s| matches!(s, Operand::Mem(m) if m.space == Space::Local)))
 }
 
 impl BlockState {
@@ -93,7 +124,13 @@ impl BlockState {
                 },
             })
             .collect();
-        BlockState { threads, shared: SharedMem::new(kernel.shared_bytes()), nwarps, flat_ctaid }
+        BlockState {
+            threads,
+            shared: SharedMem::new(kernel.shared_bytes()),
+            nwarps,
+            flat_ctaid,
+            live: nthreads,
+        }
     }
 
     fn trap(&self, kernel: &Kernel, kind: TrapKind, pc: u32, thread: u32) -> TrapInfo {
@@ -123,7 +160,7 @@ impl BlockState {
                     StepOutcome::Idle => {}
                 }
             }
-            if self.threads.iter().all(|t| t.exited) {
+            if self.live == 0 {
                 return Ok(());
             }
             if !progressed {
@@ -157,66 +194,85 @@ impl BlockState {
     ) -> Result<StepOutcome, TrapInfo> {
         let lo = w * WARP_SIZE;
         let hi = ((w + 1) * WARP_SIZE).min(self.threads.len());
-        let runnable: Vec<usize> =
-            (lo..hi).filter(|&t| !self.threads[t].exited && !self.threads[t].at_barrier).collect();
-        if runnable.is_empty() {
+        // One pass: the runnable lanes, the minimum pc among them, and the
+        // lanes sitting at that pc.
+        let mut runnable = 0u32;
+        let mut at_pc = 0u32;
+        let mut pc = u32::MAX;
+        for (lane, t) in self.threads[lo..hi].iter().enumerate() {
+            if t.exited || t.at_barrier {
+                continue;
+            }
+            let bit = 1u32 << lane;
+            runnable |= bit;
+            if t.pc < pc {
+                pc = t.pc;
+                at_pc = bit;
+            } else if t.pc == pc {
+                at_pc |= bit;
+            }
+        }
+        if runnable == 0 {
             return Ok(StepOutcome::Idle);
         }
-        let pc = runnable.iter().map(|&t| self.threads[t].pc).min().expect("nonempty");
         if pc as usize >= kernel.len() {
-            let t = runnable[0] as u32;
+            let t = (lo + runnable.trailing_zeros() as usize) as u32;
             return Err(self.trap(kernel, TrapKind::PcOverrun, pc, t));
         }
         let instr = &kernel.instrs()[pc as usize];
-        counters.cycles += latency(instr.op.family());
+        let fam = instr.op.family();
+        counters.cycles += latency(fam);
 
         // Guard evaluation: failing threads skip the instruction silently
         // (and are excluded from profiling, per paper §III-A).
-        let mut active: Vec<usize> = Vec::with_capacity(runnable.len());
-        for &ti in &runnable {
-            let t = &mut self.threads[ti];
-            if t.pc != pc {
-                continue;
-            }
-            if instr.guard.is_always() || instr.guard.passes(t.regs.read_p(instr.guard.pred)) {
-                active.push(ti);
-            } else {
-                t.pc += 1;
-            }
+        let mut active = at_pc;
+        if !instr.guard.is_always() {
+            for_each_lane(at_pc, |lane| {
+                let t = &mut self.threads[lo + lane];
+                if !instr.guard.passes(t.regs.read_p(instr.guard.pred)) {
+                    active &= !(1 << lane);
+                    t.pc += 1;
+                }
+            });
         }
-        if active.is_empty() {
+        if active == 0 {
             return Ok(StepOutcome::Ran);
         }
 
-        let fam = instr.op.family();
-        let cross_lane = matches!(fam, ExecFamily::Shfl | ExecFamily::Vote | ExecFamily::FSwzAdd);
         // Cross-lane ops read other lanes' state as of instruction issue:
         // snapshot the source before any writes.
-        let snapshot: Option<Vec<(u32, u32, bool)>> = if cross_lane {
-            Some(
-                active
-                    .iter()
-                    .map(|&ti| {
-                        let t = &self.threads[ti];
-                        let src = match instr.srcs[0] {
-                            Operand::R(r) => t.regs.read(r),
-                            Operand::Imm(v) => v,
-                            _ => 0,
-                        };
-                        let pred = match instr.srcs[0] {
-                            Operand::P(p) => t.regs.read_p(p),
-                            Operand::NotP(p) => !t.regs.read_p(p),
-                            _ => t.regs.read(gpu_isa::Reg(0)) != 0,
-                        };
-                        (t.meta.lane, src, pred)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
+        let snapshot = matches!(fam, ExecFamily::Shfl | ExecFamily::Vote | ExecFamily::FSwzAdd)
+            .then(|| {
+                let mut snap = WarpSnapshot { active, vals: [0; WARP_SIZE], preds: 0 };
+                for_each_lane(active, |lane| {
+                    let regs = &self.threads[lo + lane].regs;
+                    snap.vals[lane] = match instr.srcs[0] {
+                        Operand::R(r) => regs.read(r),
+                        Operand::Imm(v) => v,
+                        _ => 0,
+                    };
+                    let pred = match instr.srcs[0] {
+                        Operand::P(p) => regs.read_p(p),
+                        Operand::NotP(p) => !regs.read_p(p),
+                        _ => regs.read(gpu_isa::Reg(0)) != 0,
+                    };
+                    snap.preds |= (pred as u32) << lane;
+                });
+                snap
+            });
+
+        let (hook_before, hook_after) = match instrumentation.as_deref() {
+            Some(ins) => (
+                ins.before_mask.get(pc as usize).copied().unwrap_or(false),
+                ins.after_mask.get(pc as usize).copied().unwrap_or(false),
+            ),
+            None => (false, false),
         };
 
-        for &ti in &active {
+        let mut bits = active;
+        while bits != 0 {
+            let ti = lo + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
             if counters.executed >= counters.budget {
                 return Err(self.trap(kernel, TrapKind::Timeout, pc, ti as u32));
             }
@@ -233,8 +289,8 @@ impl BlockState {
             let BlockState { threads, shared, .. } = self;
             let t = &mut threads[ti];
 
-            if let Some(ins) = instrumentation.as_deref_mut() {
-                if ins.before_mask.get(pc as usize).copied().unwrap_or(false) {
+            if hook_before {
+                if let Some(ins) = instrumentation.as_deref_mut() {
                     counters.cycles += HOOK_CYCLES;
                     let mut ctx = ThreadCtx { regs: &mut t.regs, meta: t.meta, dyn_index };
                     ins.hook.before(
@@ -244,23 +300,23 @@ impl BlockState {
                 }
             }
 
-            let flow = if cross_lane {
-                let snap = snapshot.as_ref().expect("snapshot for cross-lane");
-                exec_cross_lane(instr, t, snap)
-            } else {
-                let mut env = ExecEnv {
-                    regs: &mut t.regs,
-                    global,
-                    shared,
-                    local: &mut t.local,
-                    cmem,
-                    ret_stack: &mut t.ret_stack,
-                    meta: &t.meta,
-                    clock: counters.cycles,
-                    pc,
-                    kernel_len: kernel.len() as u32,
-                };
-                exec_scalar(instr, &mut env)
+            let flow = match &snapshot {
+                Some(snap) => exec_cross_lane(instr, fam, t, snap),
+                None => {
+                    let mut env = ExecEnv {
+                        regs: &mut t.regs,
+                        global,
+                        shared,
+                        local: &mut t.local,
+                        cmem,
+                        ret_stack: &mut t.ret_stack,
+                        meta: &t.meta,
+                        clock: counters.cycles,
+                        pc,
+                        kernel_len: kernel.len() as u32,
+                    };
+                    exec_scalar(instr, &mut env)
+                }
             };
 
             let flow = match flow {
@@ -268,23 +324,23 @@ impl BlockState {
                 Err(kind) => return Err(self.trap(kernel, kind, pc, ti as u32)),
             };
 
-            let BlockState { threads, .. } = self;
-            let t = &mut threads[ti];
             match flow {
                 Flow::Next => t.pc = pc + 1,
                 Flow::Branch(target) => t.pc = target,
-                Flow::Exit => t.exited = true,
+                Flow::Exit => {
+                    t.exited = true;
+                    self.live -= 1;
+                }
                 Flow::Barrier => {
                     t.at_barrier = true;
                     t.pc = pc + 1;
                 }
             }
 
-            if let Some(ins) = instrumentation.as_deref_mut() {
-                if ins.after_mask.get(pc as usize).copied().unwrap_or(false) {
+            if hook_after {
+                if let Some(ins) = instrumentation.as_deref_mut() {
                     counters.cycles += HOOK_CYCLES;
-                    let BlockState { threads, .. } = self;
-                    let t = &mut threads[ti];
+                    let t = &mut self.threads[ti];
                     let mut ctx = ThreadCtx { regs: &mut t.regs, meta: t.meta, dyn_index };
                     ins.hook.after(
                         &mut ctx,
@@ -297,16 +353,25 @@ impl BlockState {
     }
 }
 
+/// Call `f` with each set lane of `mask`, in ascending order.
+#[inline]
+fn for_each_lane(mut mask: u32, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
 /// Execute a cross-lane instruction for one thread, given the warp snapshot
-/// `(lane, src_value, src_pred)` of all active lanes.
+/// of all active lanes.
 fn exec_cross_lane(
     instr: &gpu_isa::Instr,
+    fam: ExecFamily,
     t: &mut ThreadState,
-    snap: &[(u32, u32, bool)],
+    snap: &WarpSnapshot,
 ) -> Result<Flow, TrapKind> {
     let my_lane = t.meta.lane;
-    let lookup = |lane: u32| snap.iter().find(|(l, _, _)| *l == lane);
-    match instr.op.family() {
+    match fam {
         ExecFamily::Shfl => {
             let mode = match instr.modifier {
                 Modifier::Shfl(m) => m,
@@ -323,36 +388,26 @@ fn exec_cross_lane(
                 ShflMode::Down => my_lane + operand,
                 ShflMode::Bfly => my_lane ^ operand,
             };
-            let my_val = lookup(my_lane).map(|(_, v, _)| *v).unwrap_or(0);
+            let my_val = snap.val(my_lane).unwrap_or(0);
             // Inactive or out-of-range source lane: keep own value
             // (CUDA leaves the destination undefined; "own value" is the
             // common hardware behaviour and is deterministic).
-            let v = if src_lane < WARP_SIZE as u32 {
-                lookup(src_lane).map(|(_, v, _)| *v).unwrap_or(my_val)
-            } else {
-                my_val
-            };
+            let v = snap.val(src_lane).unwrap_or(my_val);
             if let gpu_isa::Dst::R(r) = instr.dsts[0] {
                 t.regs.write(r, v);
             }
         }
         ExecFamily::Vote => {
             // VOTE = BALLOT: bit per active lane whose source predicate holds.
-            let mut mask = 0u32;
-            for &(lane, _, pred) in snap {
-                if pred {
-                    mask |= 1 << lane;
-                }
-            }
             if let gpu_isa::Dst::R(r) = instr.dsts[0] {
-                t.regs.write(r, mask);
+                t.regs.write(r, snap.preds);
             }
         }
         ExecFamily::FSwzAdd => {
             // Butterfly-partner add: value + partner lane's value.
             let partner = my_lane ^ 1;
-            let my_val = lookup(my_lane).map(|(_, v, _)| *v).unwrap_or(0);
-            let pv = lookup(partner).map(|(_, v, _)| *v).unwrap_or(my_val);
+            let my_val = snap.val(my_lane).unwrap_or(0);
+            let pv = snap.val(partner).unwrap_or(my_val);
             let sum = f32::from_bits(my_val) + f32::from_bits(pv);
             if let gpu_isa::Dst::R(r) = instr.dsts[0] {
                 t.regs.write(r, sum.to_bits());

@@ -1,6 +1,6 @@
 //! The device front-end: configuration, launches, and statistics.
 
-use crate::block::{BlockState, Counters};
+use crate::block::{uses_local_memory, BlockState, Counters};
 use crate::error::SimError;
 use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
@@ -22,7 +22,8 @@ pub struct GpuConfig {
     /// Number of streaming multiprocessors; blocks are assigned
     /// `sm = block_id % num_sms`.
     pub num_sms: u32,
-    /// Per-thread local-memory bytes.
+    /// Per-thread local-memory bytes, allocated only for kernels that
+    /// contain a local-memory access.
     pub local_mem_bytes: u32,
     /// Default per-launch dynamic-instruction budget (the hang detector).
     pub default_instr_budget: u64,
@@ -220,11 +221,11 @@ impl Gpu {
                 });
             }
         }
+        let local_bytes = if uses_local_memory(l.kernel) { self.cfg.local_mem_bytes } else { 0 };
         let nblocks = l.grid.count() as u32;
         for b in 0..nblocks {
             let sm = b % self.cfg.num_sms;
-            let mut block =
-                BlockState::new(l.kernel, l.grid, l.block, b, sm, self.cfg.local_mem_bytes);
+            let mut block = BlockState::new(l.kernel, l.grid, l.block, b, sm, local_bytes);
             let run =
                 block.run(l.kernel, global, &param_bytes, &mut counters, &mut instrumentation);
             if let Err(info) = run {

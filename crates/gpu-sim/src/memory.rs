@@ -100,13 +100,13 @@ type Page = [u8; PAGE_SIZE as usize];
 /// A zero page is represented as `None` — untouched memory costs nothing.
 type PageSlot = Option<Arc<Page>>;
 
-/// An O(resident-pages) copy-on-write snapshot of [`GlobalMem`].
+/// An O(allocated-pages) copy-on-write snapshot of [`GlobalMem`].
 ///
 /// Taking one clones only the page table (one `Arc` pointer per resident
-/// page, `None` per untouched page), never page contents. Restoring swaps
-/// the page table back in; pages are shared until the next write dirties
-/// them. Snapshots are `Send + Sync`, so checkpoint stores can hand the
-/// same snapshot to many injection workers.
+/// page, `None` per untouched page, up to the allocation break), never page
+/// contents. Restoring copies the page table back in; pages are shared
+/// until the next write dirties them. Snapshots are `Send + Sync`, so
+/// checkpoint stores can hand the same snapshot to many injection workers.
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
     pages: Vec<PageSlot>,
@@ -129,12 +129,16 @@ impl MemSnapshot {
 /// Device global memory: a bump-allocated, bounds-checked address space
 /// backed by copy-on-write pages.
 ///
-/// Pages start as `None` (implicitly all-zero), so a fresh 64 MiB device
-/// memory costs one pointer-sized slot per page rather than 64 MiB of
-/// zeroed bytes. Writes materialize pages; [`GlobalMem::snapshot`] and
-/// [`GlobalMem::restore`] share them by reference count.
+/// The page table covers only the allocated range `[0, brk)` and grows with
+/// [`GlobalMem::alloc`]; `capacity` bounds it. Pages start as `None`
+/// (implicitly all-zero), so allocating costs one pointer-sized slot per
+/// page rather than zeroed bytes. Writes materialize pages;
+/// [`GlobalMem::snapshot`] and [`GlobalMem::restore`] share them by
+/// reference count.
 #[derive(Debug, Clone)]
 pub struct GlobalMem {
+    /// `⌈brk / PAGE_SIZE⌉` slots: every access is checked against `brk`
+    /// first, so no in-bounds address indexes past the table.
     pages: Vec<PageSlot>,
     capacity: u32,
     brk: u32,
@@ -145,9 +149,8 @@ impl GlobalMem {
     /// Create a device memory of `capacity` bytes (plus the null page).
     pub fn new(capacity: u32) -> GlobalMem {
         let total = NULL_PAGE as u64 + capacity as u64;
-        let num_pages = total.div_ceil(PAGE_SIZE as u64) as usize;
         GlobalMem {
-            pages: vec![None; num_pages],
+            pages: vec![None; page_slots(NULL_PAGE)],
             capacity: total as u32,
             brk: NULL_PAGE,
             alloc_limit: None,
@@ -183,6 +186,7 @@ impl GlobalMem {
             });
         }
         self.brk = end as u32;
+        self.pages.resize(page_slots(self.brk), None);
         Ok(DevPtr(aligned))
     }
 
@@ -198,8 +202,9 @@ impl GlobalMem {
 
     /// Capture a copy-on-write snapshot of the current contents.
     ///
-    /// Cost is one refcount bump per resident page — independent of how
-    /// many bytes the pages hold.
+    /// Cost is one slot per allocated page and one refcount bump per
+    /// resident page — independent of capacity and of how many bytes the
+    /// pages hold.
     pub fn snapshot(&self) -> MemSnapshot {
         MemSnapshot { pages: self.pages.clone(), brk: self.brk, capacity: self.capacity }
     }
@@ -207,7 +212,9 @@ impl GlobalMem {
     /// Restore contents and allocation state from a snapshot.
     ///
     /// The snapshot's pages are shared, not copied; subsequent writes to
-    /// either side dirty only the touched page.
+    /// either side dirty only the touched page. The page table is copied
+    /// into the existing allocation, and slots past the snapshot's `brk`
+    /// are dropped.
     ///
     /// # Panics
     ///
@@ -217,7 +224,7 @@ impl GlobalMem {
             self.capacity, snap.capacity,
             "snapshot restored onto a device of different capacity"
         );
-        self.pages = snap.pages.clone();
+        self.pages.clone_from(&snap.pages);
         self.brk = snap.brk;
     }
 
@@ -436,6 +443,12 @@ impl SharedMem {
         store_le(&mut self.data, addr as usize, w, value);
         Ok(())
     }
+}
+
+/// Page-table slots covering `[0, brk)`.
+#[inline]
+fn page_slots(brk: u32) -> usize {
+    brk.div_ceil(PAGE_SIZE) as usize
 }
 
 /// Bounds + alignment check shared by all spaces.
@@ -681,6 +694,69 @@ mod tests {
         let mut third = GlobalMem::new(1 << 20);
         third.restore(&snap);
         assert_eq!(third.read_u32s(p, 1).expect("read"), vec![42]);
+    }
+
+    #[test]
+    fn page_table_is_sized_by_brk_not_capacity() {
+        let mut m = GlobalMem::new(64 << 20);
+        m.alloc(4096).expect("alloc");
+        let snap = m.snapshot();
+        assert!(snap.pages.len() <= 2, "{} slots for one 4 KiB allocation", snap.pages.len());
+        assert_eq!(m.pages.len(), page_slots(m.brk));
+    }
+
+    #[test]
+    fn restoring_a_smaller_brk_drops_later_pages() {
+        let mut m = GlobalMem::new(64 << 20);
+        let p = m.alloc(64).expect("alloc");
+        m.write_u32s(p, &[1]).expect("write");
+        let small = m.snapshot();
+        let q = m.alloc(8 * PAGE_SIZE).expect("alloc");
+        m.store(q.0 + 7 * PAGE_SIZE, MemWidth::B32, 2).expect("store");
+        assert_eq!(m.resident_pages(), 2);
+
+        m.restore(&small);
+        assert_eq!(m.pages.len(), small.pages.len(), "slots past the restored brk dropped");
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(
+            m.store(q.0 + 7 * PAGE_SIZE, MemWidth::B32, 3),
+            Err(TrapKind::OutOfBounds {
+                space: Space::Global,
+                addr: q.0 + 7 * PAGE_SIZE,
+                width: 4
+            }),
+        );
+        assert_eq!(m.read_u32s(p, 1).expect("read"), vec![1]);
+
+        // Allocating again grows the table back; the re-allocated range
+        // reads as fresh zero memory.
+        let r = m.alloc(8 * PAGE_SIZE).expect("alloc after restore");
+        assert_eq!(r, q, "bump allocator resumes from the restored brk");
+        assert_eq!(m.pages.len(), page_slots(m.brk));
+        assert_eq!(m.load(r.0 + 7 * PAGE_SIZE, MemWidth::B32).expect("load"), 0);
+        m.store(r.0 + 7 * PAGE_SIZE, MemWidth::B32, 4).expect("store after regrow");
+    }
+
+    #[test]
+    fn snapshots_share_pages_until_written() {
+        let mut m = GlobalMem::new(64 << 20);
+        let p = m.alloc(2 * PAGE_SIZE).expect("alloc");
+        m.write_u32s(p, &[1]).expect("write");
+        m.write_u32s(p.offset(PAGE_SIZE), &[2]).expect("write");
+        let a = m.snapshot();
+        let b = m.snapshot();
+        let page = |s: &MemSnapshot, addr: u32| {
+            s.pages[(addr / PAGE_SIZE) as usize].clone().expect("resident")
+        };
+        assert!(Arc::ptr_eq(&page(&a, p.0), &page(&b, p.0)));
+
+        m.restore(&a);
+        m.write_u32s(p, &[9]).expect("write");
+        let c = m.snapshot();
+        assert!(!Arc::ptr_eq(&page(&a, p.0), &page(&c, p.0)), "the written page was copied");
+        let q = p.0 + PAGE_SIZE;
+        assert!(Arc::ptr_eq(&page(&a, q), &page(&c, q)), "the untouched page is still shared");
+        assert_eq!(page(&a, p.0)[(p.0 % PAGE_SIZE) as usize], 1, "snapshot kept its value");
     }
 
     #[test]

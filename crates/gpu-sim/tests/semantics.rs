@@ -487,3 +487,281 @@ fn dset_and_dsetp_compare_doubles() {
         assert_eq!(*v, if tid < 5 { u32::MAX } else { 0 }, "tid {tid}");
     }
 }
+
+// ---- Warp-stepping regression tests ------------------------------------------
+//
+// These pin the scheduler's observable behaviour: dynamic-instruction
+// counts, simulated cycles, outputs and trap sites. The expected values are
+// fixed reference numbers, not derived from the code under test, so any
+// change to issue order, divergence handling or cross-lane semantics fails
+// here. Never update them to make a scheduler change pass.
+
+/// Launch `kernel` on `grid` blocks of `block` threads with a fresh output
+/// buffer of `out_words` words as parameter 0; returns the launch result
+/// and the buffer contents.
+fn launch_with_output(
+    kernel: &gpu_isa::Kernel,
+    grid: u32,
+    block: u32,
+    out_words: usize,
+) -> (Result<gpu_sim::LaunchStats, gpu_sim::SimError>, Vec<u32>) {
+    let mut mem = GlobalMem::new(1 << 20);
+    let out = mem.alloc((out_words * 4) as u32).expect("out");
+    let result = Gpu::new(GpuConfig { num_sms: 4, ..GpuConfig::default() }).launch(
+        &Launch {
+            kernel,
+            grid: Dim3::from(grid),
+            block: Dim3::from(block),
+            params: &[out.addr()],
+            instr_budget: Some(10_000_000),
+        },
+        &mut mem,
+        None,
+    );
+    (result, mem.read_u32s(out, out_words).expect("read"))
+}
+
+/// Order-sensitive digest of an output buffer.
+fn digest(words: &[u32]) -> u64 {
+    words
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &w| (h ^ w as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `out[tid] = tid * (tid & 3) + (tid < 7 ? 100 : 0)`, with a per-thread
+/// loop of `tid & 3` iterations and a guarded add.
+fn divergent_loop_kernel() -> gpu_isa::Kernel {
+    let mut k = KernelBuilder::new("divergent_loop");
+    let (out, tid, n, acc, i, off) = (Reg(4), Reg(0), Reg(1), Reg(2), Reg(3), Reg(5));
+    k.ldc(out, 0);
+    k.s2r(tid, SpecialReg::TidX);
+    k.movi(Reg(9), 3);
+    k.and(n, tid, Reg(9));
+    k.movi(acc, 0);
+    k.movi(i, 0);
+    let (top, done) = (k.new_label(), k.new_label());
+    k.bind(top);
+    k.isetp_r(PReg(0), CmpOp::Ge, i, n);
+    k.bra_if(PReg(0), done);
+    k.iadd(acc, acc, tid);
+    k.iaddi(i, i, 1);
+    k.bra(top);
+    k.bind(done);
+    k.isetp(PReg(1), CmpOp::Lt, tid, 7);
+    k.iaddi(acc, acc, 100).guard = gpu_isa::Guard::if_true(PReg(1));
+    k.shli(off, tid, 2);
+    k.iadd(out, out, off);
+    k.stg(out, 0, acc);
+    k.exit();
+    k.finish()
+}
+
+#[test]
+fn warp_stepping_counts_are_stable_across_block_sizes() {
+    let kernel = divergent_loop_kernel();
+    let mut got = Vec::new();
+    for block in [1u32, 33, 65, 1000] {
+        let (stats, out) = launch_with_output(&kernel, 2, block, block as usize);
+        let stats = stats.expect("launch");
+        let want: Vec<u32> =
+            (0..block).map(|t| t * (t & 3) + if t < 7 { 100 } else { 0 }).collect();
+        assert_eq!(out, want, "block {block}");
+        got.push((block, stats.dyn_instrs, stats.cycles, digest(&out)));
+    }
+    assert_eq!(got, WARP_SIZES_EXPECTED);
+}
+
+const WARP_SIZES_EXPECTED: [(u32, u64, u64, u64); 4] = [
+    (1, 28, 202, 12638183902020757363),
+    (33, 1256, 578, 2577980297538475107),
+    (65, 2472, 954, 18396810935548995),
+    (1000, 38014, 12032, 15460407979819814705),
+];
+
+#[test]
+fn lanes_exit_while_others_wait_at_barrier() {
+    // Even threads publish their tid to shared memory, wait at BAR, then
+    // read their neighbour's slot. Odd threads never reach the barrier:
+    // they spin `tid & 7` times and exit, some while even lanes of the same
+    // warp are already waiting.
+    let mut k = KernelBuilder::new("exit_at_bar");
+    k.shared_bytes(64 * 4);
+    let (out, tid, off, i, lim) = (Reg(4), Reg(0), Reg(1), Reg(2), Reg(3));
+    k.ldc(out, 0);
+    k.s2r(tid, SpecialReg::TidX);
+    k.shli(off, tid, 2);
+    k.iadd(out, out, off);
+    k.movi(Reg(9), 1);
+    k.and(Reg(6), tid, Reg(9));
+    k.isetp(PReg(0), CmpOp::Ne, Reg(6), 0);
+    let odd = k.new_label();
+    k.bra_if(PReg(0), odd);
+    k.sts(off, 0, tid);
+    k.bar();
+    k.iaddi(Reg(7), tid, 2);
+    k.movi(Reg(9), 63);
+    k.and(Reg(7), Reg(7), Reg(9));
+    k.shli(Reg(7), Reg(7), 2);
+    k.lds(Reg(8), Reg(7), 0);
+    k.stg(out, 0, Reg(8));
+    k.exit();
+    k.bind(odd);
+    k.movi(Reg(9), 7);
+    k.and(lim, tid, Reg(9));
+    k.movi(i, 0);
+    let (top, end) = (k.new_label(), k.new_label());
+    k.bind(top);
+    k.isetp_r(PReg(2), CmpOp::Ge, i, lim);
+    k.bra_if(PReg(2), end);
+    k.iaddi(i, i, 1);
+    k.bra(top);
+    k.bind(end);
+    k.stg(out, 0, i);
+    k.exit();
+    let kernel = k.finish();
+
+    let (stats, out) = launch_with_output(&kernel, 3, 64, 64);
+    let stats = stats.expect("launch");
+    let want: Vec<u32> = (0..64).map(|t| if t % 2 == 1 { t & 7 } else { (t + 2) % 64 }).collect();
+    assert_eq!(out, want);
+    assert_eq!((stats.dyn_instrs, stats.cycles, digest(&out)), EXIT_AT_BAR_EXPECTED);
+}
+
+const EXIT_AT_BAR_EXPECTED: (u64, u64, u64) = (4128, 2322, 16408060086670606501);
+
+#[test]
+fn cross_lane_ops_skip_inactive_and_exited_lanes() {
+    // 40 threads: a full warp and an 8-lane partial warp. Lanes ≥ 28 exit
+    // first; the cross-lane ops are guarded so only some of the remaining
+    // lanes issue them. Each thread writes four results.
+    let mut k = KernelBuilder::new("cross_lane");
+    let (out, tid, lane, v, fv) = (Reg(4), Reg(0), Reg(1), Reg(2), Reg(3));
+    k.ldc(out, 0);
+    k.s2r(tid, SpecialReg::TidX);
+    k.s2r(lane, SpecialReg::LaneId);
+    k.isetp(PReg(3), CmpOp::Ge, lane, 28);
+    k.exit().guard = gpu_isa::Guard::if_true(PReg(3));
+    k.imad(v, lane, lane, Reg::RZ);
+    k.i2f(fv, lane);
+    k.isetp(PReg(0), CmpOp::Lt, lane, 19);
+    k.movi(Reg(9), 1);
+    k.and(Reg(6), lane, Reg(9));
+    k.isetp(PReg(1), CmpOp::Eq, Reg(6), 0);
+    for d in 10..14 {
+        k.movi(Reg(d), 0xdead);
+    }
+    let on_p0 = gpu_isa::Guard::if_true(PReg(0));
+    k.shfl(ShflMode::Down, Reg(10), v, 1).guard = on_p0;
+    k.shfl(ShflMode::Bfly, Reg(11), v, 3).guard = on_p0;
+    let mut vote = Instr::new(Opcode::VOTE);
+    vote.dsts[0] = Dst::R(Reg(12));
+    vote.srcs[0] = Operand::P(PReg(0));
+    vote.guard = gpu_isa::Guard::if_true(PReg(1));
+    k.push(vote);
+    let mut swz = Instr::new(Opcode::FSWZADD);
+    swz.dsts[0] = Dst::R(Reg(13));
+    swz.srcs[0] = Operand::R(fv);
+    swz.guard = on_p0;
+    k.push(swz);
+    k.shli(Reg(7), tid, 4);
+    k.iadd(out, out, Reg(7));
+    k.stg(out, 0, Reg(10));
+    k.stg(out, 4, Reg(11));
+    k.stg(out, 8, Reg(12));
+    k.stg(out, 12, Reg(13));
+    k.exit();
+    let kernel = k.finish();
+
+    let (stats, out) = launch_with_output(&kernel, 1, 40, 40 * 4);
+    let stats = stats.expect("launch");
+    let row = |t: usize| &out[t * 4..t * 4 + 4];
+    // Lane 18's SHFL.DOWN source (lane 19) is inactive: own value.
+    assert_eq!(row(18)[0], 18 * 18);
+    assert_eq!(row(17)[0], 18 * 18);
+    // Lane 18's FSWZADD partner (lane 19) is inactive: doubled own value.
+    assert_eq!(f32::from_bits(row(18)[3]), 36.0);
+    // Even lanes vote on P0: the ballot of even lanes below 19.
+    assert_eq!(row(0)[2], 0b0101_0101_0101_0101_0101);
+    // Exited and guarded-off lanes leave the buffer or their sentinel.
+    assert_eq!(row(30), [0, 0, 0, 0]);
+    assert_eq!(row(20)[0], 0xdead);
+    assert_eq!((stats.dyn_instrs, stats.cycles, digest(&out)), CROSS_LANE_EXPECTED);
+}
+
+const CROSS_LANE_EXPECTED: (u64, u64, u64) = (875, 388, 6655046877874123323);
+
+/// Each thread stores `tid + k` to local slot `k` (k = 0..4) at
+/// `base + 4k`, then sums them back. The thread with global id `bad_gtid`
+/// instead uses base 1016, whose last two slots lie past the 1024-byte
+/// local window.
+fn local_memory_kernel(bad_gtid: i32) -> gpu_isa::Kernel {
+    let local = |base: Reg, offset: i16| {
+        Operand::Mem(gpu_isa::MemRef { base, offset, space: gpu_isa::Space::Local })
+    };
+    let mut k = KernelBuilder::new("local_slots");
+    let (out, tid, gtid, base, acc) = (Reg(4), Reg(0), Reg(1), Reg(2), Reg(3));
+    k.ldc(out, 0);
+    k.s2r(tid, SpecialReg::TidX);
+    k.s2r(gtid, SpecialReg::GlobalTidX);
+    k.movi(Reg(9), 15);
+    k.and(base, tid, Reg(9));
+    k.shli(base, base, 4);
+    k.isetp(PReg(0), CmpOp::Eq, gtid, bad_gtid);
+    k.movi(base, 1016).guard = gpu_isa::Guard::if_true(PReg(0));
+    for slot in 0..4i16 {
+        k.iaddi(Reg(6), tid, slot as i32);
+        let mut st = Instr::new(Opcode::STL);
+        st.modifier = Modifier::Width(MemWidth::B32);
+        st.srcs = [local(base, slot * 4), Operand::R(Reg(6)), Operand::None, Operand::None];
+        k.push(st);
+    }
+    k.movi(acc, 0);
+    for slot in 0..4i16 {
+        let mut ld = Instr::new(Opcode::LDL);
+        ld.modifier = Modifier::Width(MemWidth::B32);
+        ld.dsts[0] = Dst::R(Reg(7));
+        ld.srcs[0] = local(base, slot * 4);
+        k.push(ld);
+        k.iadd(acc, acc, Reg(7));
+    }
+    k.shli(Reg(8), gtid, 2);
+    k.iadd(out, out, Reg(8));
+    k.stg(out, 0, acc);
+    k.exit();
+    k.finish()
+}
+
+#[test]
+fn local_memory_kernel_counts_and_out_of_bounds_trap() {
+    let (stats, out) = launch_with_output(&local_memory_kernel(-1), 2, 65, 130);
+    let stats = stats.expect("launch");
+    let want: Vec<u32> = (0..130).map(|g| 4 * (g % 65) + 6).collect();
+    assert_eq!(out, want);
+    assert_eq!((stats.dyn_instrs, stats.cycles, digest(&out)), LOCAL_EXPECTED);
+
+    // Global thread 102 is block 1, thread 37: its third store, at byte
+    // 1024, is out of bounds.
+    let (result, out) = launch_with_output(&local_memory_kernel(102), 2, 65, 130);
+    let Err(gpu_sim::SimError::Trap { info, stats }) = result else {
+        panic!("expected a trap, got {result:?}");
+    };
+    assert_eq!(
+        info,
+        gpu_sim::TrapInfo {
+            kind: gpu_sim::TrapKind::OutOfBounds {
+                space: gpu_isa::Space::Local,
+                addr: 1024,
+                width: 4
+            },
+            kernel: "local_slots".into(),
+            pc: Some(LOCAL_TRAP_PC),
+            block: Some(1),
+            thread: Some(37),
+        }
+    );
+    assert_eq!((stats.dyn_instrs, stats.cycles, digest(&out)), LOCAL_TRAP_EXPECTED);
+}
+
+const LOCAL_EXPECTED: (u64, u64, u64) = (3640, 1908, 6017596719097186765);
+const LOCAL_TRAP_PC: u32 = 13;
+const LOCAL_TRAP_EXPECTED: (u64, u64, u64) = (2639, 1273, 973132424838028955);

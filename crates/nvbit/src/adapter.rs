@@ -78,7 +78,7 @@ pub struct NvBitStats {
     pub launches_instrumented: u64,
     /// Launches that ran the unmodified kernel.
     pub launches_unmodified: u64,
-    /// Device callbacks delivered.
+    /// Device callbacks delivered, published as each launch completes.
     pub device_calls: u64,
 }
 
@@ -91,6 +91,9 @@ pub struct NvBit<T: NvBitTool> {
     current: Option<Arc<CachedInstrumentation>>,
     current_kernel: String,
     current_instance: u64,
+    /// Device callbacks delivered in the ongoing launch, flushed into
+    /// `stats` when it completes so dispatch takes no lock.
+    launch_calls: u64,
     stats: Arc<Mutex<NvBitStats>>,
 }
 
@@ -112,6 +115,7 @@ impl<T: NvBitTool> NvBit<T> {
             current: None,
             current_kernel: String::new(),
             current_instance: 0,
+            launch_calls: 0,
             stats: Arc::new(Mutex::new(NvBitStats::default())),
         }
     }
@@ -129,24 +133,21 @@ impl<T: NvBitTool> NvBit<T> {
     }
 
     fn dispatch(&mut self, when: When, thread: &mut ThreadCtx<'_>, site: InstrSite<'_>) {
-        let Some(cached) = self.current.as_ref() else {
+        let NvBit { tool, current, current_kernel, current_instance, launch_calls, .. } = self;
+        let Some(cached) = current.as_deref() else {
             return;
         };
-        let cached = Arc::clone(cached);
         let calls = cached.calls(when, site.pc);
-        if calls.is_empty() {
-            return;
-        }
-        self.stats.lock().device_calls += calls.len() as u64;
+        *launch_calls += calls.len() as u64;
         for call in calls {
             let cs = CallSite {
                 call,
                 when,
                 instr: InstrView::new(site.pc, site.instr),
-                kernel: &self.current_kernel,
-                kernel_instance: self.current_instance,
+                kernel: current_kernel,
+                kernel_instance: *current_instance,
             };
-            self.tool.device_call(&cs, thread);
+            tool.device_call(&cs, thread);
         }
     }
 }
@@ -206,6 +207,9 @@ impl<T: NvBitTool> Tool for NvBit<T> {
 
     fn after_launch(&mut self, record: &LaunchRecord) {
         self.current = None;
+        if self.launch_calls != 0 {
+            self.stats.lock().device_calls += std::mem::take(&mut self.launch_calls);
+        }
         self.tool.on_kernel_complete(record);
     }
 
