@@ -18,10 +18,10 @@ use crate::params::{PermanentParams, TransientParams};
 use crate::permanent::PermanentInjector;
 use crate::pool::{self, IsolationMode};
 use crate::profile::{profile_program, Profile, ProfilingMode};
-use crate::prune::prune_dead_sites;
+use crate::prune::{prune_dead_sites, prune_dead_sites_from_checkpoints};
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
-use gpu_runtime::{run_program, run_program_fast_forward, CheckpointStore, Program, RuntimeConfig};
+use gpu_runtime::{run_program, run_program_fast_forward, Program, RuntimeConfig};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,8 +147,19 @@ pub struct InjectionRun {
 }
 
 /// Wall-clock accounting for overhead analysis (Figures 4 and 5).
+///
+/// `setup` and `golden_and_profiling` are elapsed times. `golden` and
+/// `profiling` are each run's own duration; with checkpoints under thread
+/// isolation the two runs overlap, so their sum exceeds
+/// `golden_and_profiling`. The injection durations are per run, so their
+/// sum is serial-equivalent time, not elapsed time.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignTiming {
+    /// Elapsed time from the campaign's start to its first injection
+    /// dispatch: golden, profiling, site selection and static analysis.
+    pub setup: Duration,
+    /// Elapsed time of the golden and profiling runs together.
+    pub golden_and_profiling: Duration,
     /// Duration of the uninstrumented golden run.
     pub golden: Duration,
     /// Duration of the profiling run.
@@ -174,8 +185,8 @@ impl CampaignTiming {
         v[v.len() / 2]
     }
 
-    /// Total campaign time: profiling, static analysis, and all
-    /// injections (Figure 5).
+    /// Serial-equivalent campaign time: profiling, static analysis, and the
+    /// sum of all injection runs (Figure 5).
     pub fn total(&self) -> Duration {
         self.profiling + self.analysis + self.injections.iter().sum::<Duration>()
     }
@@ -321,6 +332,13 @@ enum Attempt<R> {
     Panicked,
 }
 
+/// Run `f` and measure how long it took.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let t = Instant::now();
+    let r = f();
+    (r, t.elapsed())
+}
+
 /// Run `f` with worker-panic isolation: a panic unwinds to here instead of
 /// taking down the fan-out scope (and with it every in-flight run).
 fn isolate<R>(f: impl FnOnce() -> R) -> Attempt<R> {
@@ -369,25 +387,45 @@ pub fn run_transient_campaign_with(
     prior: Vec<InjectionRun>,
     hooks: &dyn CampaignHooks,
 ) -> Result<TransientCampaign, FiError> {
-    // Step 0: golden run (also calibrates the hang monitor). With
-    // checkpoints enabled it additionally records the launch-boundary
-    // state every injection run fast-forwards from.
-    let t0 = Instant::now();
-    let (golden, checkpoints): (GoldenOutput, Option<Arc<CheckpointStore>>) = if cfg.use_checkpoints
-    {
-        let (g, store) = golden_run_recording(program, cfg.runtime.clone())?;
-        (g, Some(store.into_shared()))
+    // Steps 0-1: the golden run (also calibrates the hang monitor) and the
+    // profile. With checkpoints enabled, golden also records the
+    // launch-boundary state every later run fast-forwards from. Under
+    // thread isolation the two runs then overlap on two threads: the
+    // profile does not need golden's hang budget, because a clean program
+    // never nears the device default. Under process isolation they stay in
+    // sequence: the supervisor runs no injections, so a second simulator
+    // thread there only adds its working set to the supervisor's peak
+    // memory. Without checkpoints they run in sequence too (the reference
+    // path).
+    let t_setup = Instant::now();
+    let overlap = cfg.use_checkpoints && matches!(cfg.isolation, IsolationMode::Thread);
+    let ((golden, checkpoints, golden_wall), (profile, profiling_wall)) = if overlap {
+        let ((recorded, g_wall), (profiled, p_wall)) = std::thread::scope(|s| {
+            let profiling =
+                s.spawn(|| timed(|| profile_program(program, cfg.runtime.clone(), cfg.profiling)));
+            let golden = timed(|| golden_run_recording(program, cfg.runtime.clone()));
+            (golden, profiling.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        });
+        let (g, store) = recorded?;
+        ((g, Some(store.into_shared()), g_wall), (profiled?, p_wall))
     } else {
-        (golden_run(program, cfg.runtime.clone())?, None)
+        let (recorded, g_wall) = timed(|| {
+            if cfg.use_checkpoints {
+                golden_run_recording(program, cfg.runtime.clone())
+                    .map(|(g, store)| (g, Some(store.into_shared())))
+            } else {
+                golden_run(program, cfg.runtime.clone()).map(|g| (g, None))
+            }
+        });
+        let (g, store) = recorded?;
+        let mut budgeted = cfg.runtime.clone();
+        budgeted.instr_budget = Some(g.suggested_budget());
+        let (p, p_wall) = timed(|| profile_program(program, budgeted, cfg.profiling));
+        ((g, store, g_wall), (p?, p_wall))
     };
-    let golden_wall = t0.elapsed();
+    let golden_and_profiling = t_setup.elapsed();
     let mut run_cfg = cfg.runtime.clone();
     run_cfg.instr_budget = Some(golden.suggested_budget());
-
-    // Step 1: profile.
-    let t0 = Instant::now();
-    let profile = profile_program(program, run_cfg.clone(), cfg.profiling)?;
-    let profiling_wall = t0.elapsed();
 
     // Step 2: select fault sites. Selection consumes the RNG before any
     // pruning happens, so a seed picks the same sites with pruning on or
@@ -397,14 +435,15 @@ pub fn run_transient_campaign_with(
 
     // Step 2b: static dead-fault pruning. One extra resolver run maps
     // each site to its static pc; sites whose corrupted destination is
-    // dead there are provably Masked and skip simulation entirely.
-    let t0 = Instant::now();
-    let pruned_flags = if cfg.use_static_prune {
-        prune_dead_sites(program, run_cfg.clone(), cfg.group, &sites)
-    } else {
-        vec![false; sites.len()]
+    // dead there are provably Masked and skip simulation entirely. With
+    // checkpoints, that run simulates only the sites' target launches.
+    let (pruned_flags, analysis_wall) = match (&checkpoints, cfg.use_static_prune) {
+        (_, false) => (vec![false; sites.len()], Duration::ZERO),
+        (Some(store), true) => timed(|| {
+            prune_dead_sites_from_checkpoints(program, run_cfg.clone(), cfg.group, &sites, store)
+        }),
+        (None, true) => timed(|| prune_dead_sites(program, run_cfg.clone(), cfg.group, &sites)),
     };
-    let analysis_wall = if cfg.use_static_prune { t0.elapsed() } else { Duration::ZERO };
 
     // Resolve each site's target to a global launch index and group sites
     // by it: runs sharing a target restore the same checkpoint, so the
@@ -452,6 +491,7 @@ pub fn run_transient_campaign_with(
     // experiments the harness may abandon.
     let mut inj_cfg = run_cfg.clone();
     inj_cfg.wall_deadline = cfg.run_deadline;
+    let setup = t_setup.elapsed();
 
     // Steps 3-4: inject and classify, fanned out over workers sharing the
     // immutable checkpoint store. Pruned sites short-circuit: the fault
@@ -588,6 +628,8 @@ pub fn run_transient_campaign_with(
         counts.add(&r.outcome);
     }
     let timing = CampaignTiming {
+        setup,
+        golden_and_profiling,
         golden: golden_wall,
         profiling: profiling_wall,
         analysis: analysis_wall,
@@ -888,6 +930,8 @@ mod tests {
     #[test]
     fn timing_median_and_total() {
         let t = CampaignTiming {
+            setup: Duration::from_millis(12),
+            golden_and_profiling: Duration::from_millis(10),
             golden: Duration::from_millis(1),
             profiling: Duration::from_millis(10),
             analysis: Duration::from_millis(4),

@@ -127,7 +127,7 @@ pub use pool::{IsolationMode, ProcessIsolation};
 pub use profile::{
     profile_program, FaultSite, KernelProfile, Profile, ProfileHandle, Profiler, ProfilingMode,
 };
-pub use prune::{prune_dead_sites, KernelAnalysis};
+pub use prune::{prune_dead_sites, prune_dead_sites_from_checkpoints, KernelAnalysis};
 pub use select::{select_campaign, select_transient};
 pub use transient::{
     select_destination, CorruptedTarget, InjectionDetail, InjectionHandle, InjectionRecord,

@@ -345,6 +345,8 @@ mod tests {
             anomalies: Vec::new(),
             summary: RunSummary::default(),
             prefix_instrs_skipped: 0,
+            tail_instrs_replayed: 0,
+            converged_at: None,
         }
     }
 

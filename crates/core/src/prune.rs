@@ -26,7 +26,10 @@ use crate::params::TransientParams;
 use crate::transient::select_destination;
 use gpu_analysis::{cross_lane_uses, Cfg, Liveness, RegSet};
 use gpu_isa::{Kernel, RegSlot};
-use gpu_runtime::{run_program, KernelLaunchInfo, Program, RuntimeConfig};
+use gpu_runtime::{
+    run_program, run_program_fast_forward, CheckpointStore, KernelLaunchInfo, LaunchRecord,
+    Program, RuntimeConfig, Tool,
+};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -92,12 +95,24 @@ struct ResolverState {
 /// (an `After` callback at every group instruction of a target kernel), so
 /// the dynamic index sequence observed here is the same one the injector
 /// counts — resolution is exact for any site the run reaches.
+///
+/// Like the injectors, it counts in plain fields on the hot path: a launch
+/// is armed with its sorted watched indices in `launch_enabled`, each
+/// device call bumps one counter and compares it with the next watched
+/// index, and the launch's hits are published under one lock when it
+/// completes.
 struct SiteResolver {
     group: InstrGroup,
-    /// kernel → instance → watched group indices.
-    wanted: HashMap<String, HashMap<u64, BTreeSet<u64>>>,
-    /// Per (kernel, instance) running group-instruction count.
-    counters: HashMap<(String, u64), u64>,
+    /// kernel → instance → watched group indices, ascending.
+    wanted: HashMap<String, HashMap<u64, Vec<u64>>>,
+    /// The current launch's watched indices, ascending.
+    watch: Vec<u64>,
+    /// Position in `watch` of the next index to resolve.
+    next: usize,
+    /// Group instructions the current launch has executed so far.
+    seen: u64,
+    /// `(group index, pc)` pairs resolved in the current launch.
+    hits: Vec<(u64, u32)>,
     state: Arc<Mutex<ResolverState>>,
 }
 
@@ -115,26 +130,36 @@ impl NvBitTool for SiteResolver {
     }
 
     fn launch_enabled(&mut self, info: &KernelLaunchInfo<'_>) -> bool {
-        self.wanted
-            .get(info.kernel.name())
-            .is_some_and(|instances| instances.contains_key(&info.instance))
+        self.watch.clear();
+        self.next = 0;
+        self.seen = 0;
+        match self.wanted.get(info.kernel.name()).and_then(|m| m.get(&info.instance)) {
+            Some(indices) => {
+                self.watch.extend_from_slice(indices);
+                true
+            }
+            None => false,
+        }
     }
 
     fn device_call(&mut self, site: &CallSite<'_>, _thread: &mut gpu_sim::ThreadCtx<'_>) {
-        let key = (site.kernel.to_string(), site.kernel_instance);
-        let counter = self.counters.entry(key).or_insert(0);
-        let index = *counter;
-        *counter += 1;
-        let watched = self
-            .wanted
-            .get(site.kernel)
-            .and_then(|m| m.get(&site.kernel_instance))
-            .is_some_and(|set| set.contains(&index));
-        if watched {
-            self.state
-                .lock()
-                .resolved
-                .insert((site.kernel.to_string(), site.kernel_instance, index), site.instr.pc());
+        let index = self.seen;
+        self.seen += 1;
+        // `seen` only grows and `watch` is ascending, so each watched index
+        // is met exactly when the cursor points at it.
+        if self.watch.get(self.next) == Some(&index) {
+            self.next += 1;
+            self.hits.push((index, site.instr.pc()));
+        }
+    }
+
+    fn on_kernel_complete(&mut self, record: &LaunchRecord) {
+        if self.hits.is_empty() {
+            return;
+        }
+        let mut state = self.state.lock();
+        for (index, pc) in self.hits.drain(..) {
+            state.resolved.insert((record.kernel.clone(), record.instance, index), pc);
         }
     }
 }
@@ -153,6 +178,31 @@ pub fn prune_dead_sites(
     group: InstrGroup,
     sites: &[TransientParams],
 ) -> Vec<bool> {
+    prune(program, run_cfg, group, sites, None)
+}
+
+/// [`prune_dead_sites`] with the resolver run fast-forwarded through the
+/// golden checkpoint store: only the sites' distinct target launches
+/// simulate and every other launch replays, because the resolver only
+/// observes and so keeps the run in sync with golden. The flags equal
+/// [`prune_dead_sites`]'.
+pub fn prune_dead_sites_from_checkpoints(
+    program: &dyn Program,
+    run_cfg: RuntimeConfig,
+    group: InstrGroup,
+    sites: &[TransientParams],
+    store: &Arc<CheckpointStore>,
+) -> Vec<bool> {
+    prune(program, run_cfg, group, sites, Some(store))
+}
+
+fn prune(
+    program: &dyn Program,
+    run_cfg: RuntimeConfig,
+    group: InstrGroup,
+    sites: &[TransientParams],
+    store: Option<&Arc<CheckpointStore>>,
+) -> Vec<bool> {
     if sites.is_empty() {
         return Vec::new();
     }
@@ -167,10 +217,26 @@ pub fn prune_dead_sites(
                 .insert(s.instruction_count);
         }
     }
+    let wanted = wanted
+        .into_iter()
+        .map(|(k, m)| (k, m.into_iter().map(|(i, set)| (i, set.into_iter().collect())).collect()))
+        .collect();
     let state = Arc::new(Mutex::new(ResolverState::default()));
-    let resolver =
-        SiteResolver { group, wanted, counters: HashMap::new(), state: Arc::clone(&state) };
-    let out = run_program(program, run_cfg, Some(Box::new(NvBit::new(resolver))));
+    let resolver = SiteResolver {
+        group,
+        wanted,
+        watch: Vec::new(),
+        next: 0,
+        seen: 0,
+        hits: Vec::new(),
+        state: Arc::clone(&state),
+    };
+    let tool: Option<Box<dyn Tool>> = Some(Box::new(NvBit::new(resolver)));
+    let out = match store {
+        // Target 0: every replayed launch counts as tail, none as prefix.
+        Some(store) => run_program_fast_forward(program, run_cfg, tool, Arc::clone(store), 0),
+        None => run_program(program, run_cfg, tool),
+    };
     if !out.termination.is_clean() || out.has_anomaly() {
         // The golden run was validated clean, so this is unexpected; fail
         // open and prune nothing.

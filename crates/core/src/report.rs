@@ -56,14 +56,14 @@ pub fn outcome_cells(c: &OutcomeCounts) -> Vec<String> {
 }
 
 /// One-paragraph summary of a transient campaign, followed by the
-/// robustness line from [`robustness_line`] and the per-phase wall-clock
+/// robustness line from [`robustness_line`] and the per-phase timing
 /// breakdown from [`phase_breakdown`].
 pub fn transient_summary(c: &TransientCampaign) -> String {
     let injected = c.runs.iter().filter(|r| r.injected).count();
     format!(
         "{}: {} over {} injections ({} fired, {} statically pruned); profile: {} dynamic \
          kernels, {} dynamic instructions ({} profiling); median injection run {:?}, \
-         campaign total {:?}\n{}\n{}",
+         serial-equivalent campaign total {:?}\n{}\n{}",
         c.program,
         c.counts,
         c.runs.len(),
@@ -100,18 +100,29 @@ pub fn robustness_line(c: &TransientCampaign) -> String {
     line
 }
 
-/// Per-phase wall-clock table for a campaign (golden / profiling / static
-/// analysis / injections), plus the dynamic instructions the injection
-/// runs avoided by fast-forwarding their pre-injection prefixes from
-/// checkpoints.
+/// Per-phase timing table for a campaign, plus the dynamic instructions
+/// the injection runs avoided by fast-forwarding their pre-injection
+/// prefixes from checkpoints.
+///
+/// Set-up rows are elapsed time; golden and profiling overlap when
+/// checkpoints are on under thread isolation, so their own rows can add
+/// up to more than their elapsed row. The injection row is the serial-equivalent sum of the runs.
 pub fn phase_breakdown(t: &crate::campaign::CampaignTiming) -> String {
     let injections: std::time::Duration = t.injections.iter().sum();
     let mut out = table(&[
-        vec!["phase".into(), "wall-clock".into()],
-        vec!["golden run".into(), format!("{:?}", t.golden)],
-        vec!["profiling".into(), format!("{:?}", t.profiling)],
-        vec!["static analysis".into(), format!("{:?}", t.analysis)],
-        vec![format!("injections (x{})", t.injections.len()), format!("{injections:?}")],
+        vec!["phase".into(), "time".into()],
+        vec!["set-up (elapsed)".into(), format!("{:?}", t.setup)],
+        vec![
+            "  golden run and profiling (elapsed)".into(),
+            format!("{:?}", t.golden_and_profiling),
+        ],
+        vec!["    golden run".into(), format!("{:?}", t.golden)],
+        vec!["    profiling".into(), format!("{:?}", t.profiling)],
+        vec!["  static analysis".into(), format!("{:?}", t.analysis)],
+        vec![
+            format!("injections (x{}, serial-equivalent sum)", t.injections.len()),
+            format!("{injections:?}"),
+        ],
     ]);
     let _ = write!(out, "prefix instructions skipped via checkpoints: {}", t.prefix_instrs_skipped);
     out
@@ -230,6 +241,8 @@ mod tests {
     fn phase_breakdown_reports_all_phases_and_skips() {
         use std::time::Duration;
         let t = crate::campaign::CampaignTiming {
+            setup: Duration::from_millis(11),
+            golden_and_profiling: Duration::from_millis(9),
             golden: Duration::from_millis(5),
             profiling: Duration::from_millis(7),
             analysis: Duration::from_millis(3),
@@ -237,11 +250,21 @@ mod tests {
             prefix_instrs_skipped: 1234,
         };
         let text = phase_breakdown(&t);
-        assert!(text.contains("golden run"), "{text}");
-        assert!(text.contains("profiling"), "{text}");
-        assert!(text.contains("static analysis"), "{text}");
-        assert!(text.contains("injections (x4)"), "{text}");
-        assert!(text.contains("8ms"), "sums the injection phase: {text}");
+        // A row is its label, the column gap, then the time.
+        let row = |label: &str| {
+            text.lines()
+                .find(|l| l.trim_start().starts_with(&format!("{label}  ")))
+                .unwrap_or_else(|| panic!("no `{label}` row: {text}"))
+                .trim_end()
+                .to_string()
+        };
+        assert!(row("set-up (elapsed)").ends_with("11ms"), "{text}");
+        assert!(row("golden run and profiling (elapsed)").ends_with("9ms"), "{text}");
+        assert!(row("golden run").ends_with("5ms"), "{text}");
+        assert!(row("profiling").ends_with("7ms"), "{text}");
+        assert!(row("static analysis").ends_with("3ms"), "{text}");
+        assert!(row("injections (x4, serial-equivalent sum)").ends_with("8ms"), "{text}");
+        assert!(!text.contains("wall-clock"), "no phase is mislabelled wall-clock: {text}");
         assert!(text.contains("skipped via checkpoints: 1234"), "{text}");
     }
 }

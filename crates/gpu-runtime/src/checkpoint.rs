@@ -1,9 +1,9 @@
 //! Kernel-launch-boundary checkpoints for injection-run fast-forwarding.
 //!
 //! An injection campaign re-runs the same program hundreds of times, and
-//! each run is identical to the golden run up to the targeted dynamic
-//! kernel instance — faults cannot fire earlier. NVBitFI pays that prefix
-//! on every run; this module makes it (nearly) free:
+//! each run is identical to the golden run except where its fault
+//! propagates. NVBitFI simulates every run in full; this module lets a run
+//! simulate only the launches that can differ from golden:
 //!
 //! 1. The golden run executes with checkpoint recording enabled
 //!    ([`crate::Runtime::record_checkpoints`]), capturing a [`Checkpoint`]
@@ -12,14 +12,24 @@
 //!    share pages by refcount, so a store over a whole campaign costs
 //!    roughly one copy of the pages each launch actually dirtied.
 //! 2. Each injection run attaches the store with
-//!    [`crate::Runtime::fast_forward`], naming the global launch index of
-//!    its target. The host application replays unmodified (host logic is
-//!    deterministic and cheap), but every launch *before* the target skips
-//!    simulation entirely: the runtime restores the recorded post-launch
-//!    snapshot, replays the recorded [`LaunchRecord`], and returns. Device
-//!    reads the host performs between launches therefore observe exactly
-//!    the golden values. The target instance and the genuinely divergent
-//!    post-injection tail simulate normally.
+//!    [`crate::Runtime::fast_forward`]. The host application replays
+//!    unmodified (host logic is deterministic and cheap), and one rule
+//!    decides each launch: it **replays** from the store iff the run is
+//!    still *in sync* with golden and the attached tool declines to
+//!    instrument it. Replaying restores the recorded post-launch snapshot
+//!    and hands back the recorded [`LaunchRecord`]; device reads the host
+//!    performs afterwards observe exactly the golden values.
+//! 3. "In sync" starts true. After each *simulated* launch it stays true
+//!    only if the launch ended without a trap, a fatal error, a sticky
+//!    error or a new anomaly, and global memory equals the golden
+//!    checkpoint of that launch ([`gpu_sim::GlobalMem::matches`]). Once
+//!    false it stays false: the host may since have read divergent memory,
+//!    so no later boundary is trusted.
+//!
+//! So the launches before an injection's target replay (the prefix), the
+//! target simulates, and a fault whose effect dies inside the target
+//! replays the rest of the program too (convergence exit). A tool that
+//! instruments later launches still gets them simulated.
 //!
 //! A store is immutable once recorded and `Send + Sync`, so campaign
 //! workers share one store behind an `Arc` — no per-worker copies.
@@ -101,15 +111,42 @@ impl CheckpointStore {
 }
 
 /// Fast-forward state a replaying [`crate::Runtime`] carries: the golden
-/// store plus the first global launch index that must simulate for real.
+/// store, the sync flag, and what replaying saved.
 #[derive(Debug, Clone)]
 pub(crate) struct FastForward {
     /// The golden run's checkpoints.
     pub store: Arc<CheckpointStore>,
-    /// Launches with global index below this replay from the store.
+    /// Launches below this global index are the pre-injection prefix; it
+    /// only splits the replayed-instruction accounting.
     pub upto: u64,
-    /// Dynamic instructions skipped so far by replaying from checkpoints.
+    /// `true` while every launch so far ended in the golden state.
+    pub in_sync: bool,
+    /// Global index of the last launch that simulated.
+    pub last_simulated: Option<u64>,
+    /// Dynamic instructions skipped by replaying launches below `upto`.
     pub skipped_instrs: u64,
+    /// Dynamic instructions skipped by replaying launches at or past
+    /// `upto`, after the run converged back to golden.
+    pub tail_replayed_instrs: u64,
+}
+
+impl FastForward {
+    pub fn new(store: Arc<CheckpointStore>, upto: u64) -> FastForward {
+        FastForward {
+            store,
+            upto,
+            in_sync: true,
+            last_simulated: None,
+            skipped_instrs: 0,
+            tail_replayed_instrs: 0,
+        }
+    }
+
+    /// The launch a run converged at: the last simulated launch, if the run
+    /// was in sync after it (and hence after every launch).
+    pub fn converged_at(&self) -> Option<u64> {
+        self.last_simulated.filter(|_| self.in_sync)
+    }
 }
 
 #[cfg(test)]

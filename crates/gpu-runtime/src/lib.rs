@@ -362,6 +362,163 @@ mod tests {
         }
     }
 
+    /// A tool that, in the watched launches of `square`, writes `value` into
+    /// `reg` of global thread `tid` right after the instruction at `pc`, and
+    /// counts every device callback it receives.
+    struct Corrupt {
+        instances: Vec<u64>,
+        pc: usize,
+        reg: Reg,
+        tid: u64,
+        value: u32,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl Corrupt {
+        fn new(instances: &[u64], pc: usize, reg: Reg, tid: u64, value: u32) -> Corrupt {
+            let calls = Arc::new(AtomicU64::new(0));
+            Corrupt { instances: instances.to_vec(), pc, reg, tid, value, calls }
+        }
+    }
+
+    impl ExecHook for Corrupt {
+        fn after(&mut self, t: &mut ThreadCtx<'_>, s: InstrSite<'_>) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if s.pc as usize == self.pc && t.meta.global_tid() == self.tid {
+                t.write_reg(self.reg, self.value);
+            }
+        }
+    }
+
+    impl Tool for Corrupt {
+        fn instrument(&mut self, info: &KernelLaunchInfo<'_>) -> Option<InstrMasks> {
+            self.instances
+                .contains(&info.instance)
+                .then(|| InstrMasks::all_after(info.kernel.len()))
+        }
+    }
+
+    /// Three launches of `square` over the same buffer: every launch after
+    /// the first rewrites the values already there.
+    struct Repeat;
+    impl Program for Repeat {
+        fn name(&self) -> &str {
+            "repeat"
+        }
+        fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
+            let m = rt.load_module(&test_module_bytes())?;
+            let k = rt.get_kernel(m, "square")?;
+            let out = rt.alloc(64 * 4)?;
+            for i in 0..3 {
+                rt.launch(k, 2u32, 32u32, &[out.addr()])?;
+                let v = rt.read_u32s(out, 64)?;
+                rt.println(format!("launch {i}: sum {}", v.iter().sum::<u32>()));
+            }
+            rt.synchronize()?;
+            Ok(())
+        }
+    }
+
+    /// Runs the tool `make` builds over `program` in full, and again against
+    /// the golden store with launch `upto` as the target; both runs must be
+    /// observably identical.
+    fn full_and_fast(
+        program: &dyn Program,
+        make: impl Fn() -> Corrupt,
+        upto: u64,
+    ) -> (ProgramOutput, ProgramOutput, Arc<CheckpointStore>) {
+        let (_, store) = run_program_recording(program, small_cfg());
+        let store = store.into_shared();
+        let full = run_program(program, small_cfg(), Some(Box::new(make())));
+        let fast = run_program_fast_forward(
+            program,
+            small_cfg(),
+            Some(Box::new(make())),
+            Arc::clone(&store),
+            upto,
+        );
+        assert_eq!(fast.stdout, full.stdout);
+        assert_eq!(fast.files, full.files);
+        assert_eq!(fast.termination, full.termination);
+        assert_eq!(fast.anomalies, full.anomalies);
+        assert_eq!(fast.summary, full.summary);
+        assert_eq!(full.converged_at, None, "no store, no convergence");
+        (full, fast, store)
+    }
+
+    #[test]
+    fn masked_fault_converges_at_its_target_and_replays_the_tail() {
+        // Square's pc 5 stores R2; clobbering R2 after the store is dead.
+        let (golden, _) = run_program_recording(&Chain, small_cfg());
+        let (full, fast, store) =
+            full_and_fast(&Chain, || Corrupt::new(&[1], 5, Reg(2), 7, 0xBAD), 1);
+        assert_eq!(full.stdout, golden.stdout, "the fault is masked");
+        assert_eq!(fast.converged_at, Some(1));
+        assert_eq!(fast.prefix_instrs_skipped, store.instrs_before(1));
+        assert_eq!(
+            fast.tail_instrs_replayed,
+            store.get(2).expect("launch 2").record.stats.dyn_instrs
+        );
+    }
+
+    #[test]
+    fn stored_corruption_stays_out_of_sync_and_simulates_the_tail() {
+        // Square's pc 2 computes R2 = tid*tid, which pc 5 stores.
+        let (golden, _) = run_program_recording(&Chain, small_cfg());
+        let (_, fast, store) = full_and_fast(&Chain, || Corrupt::new(&[1], 2, Reg(2), 7, 0xBAD), 1);
+        assert_ne!(fast.stdout, golden.stdout, "the fault reached the output");
+        assert_eq!(fast.converged_at, None);
+        assert_eq!(fast.prefix_instrs_skipped, store.instrs_before(1));
+        assert_eq!(fast.tail_instrs_replayed, 0, "launch 2 simulated");
+    }
+
+    #[test]
+    fn trapping_target_never_converges() {
+        // Square's pc 4 computes the store address in R4. Thread 0's store
+        // traps; in `Repeat` every other store rewrites an equal value and
+        // thread 0's value (0) is already in place, so memory alone would
+        // still match golden.
+        let (_, fast, store) =
+            full_and_fast(&Repeat, || Corrupt::new(&[1], 4, Reg(4), 0, 0xDEAD_0000), 1);
+        assert!(fast.has_anomaly());
+        assert_eq!(fast.termination, Termination::Normal { exit_code: 1 });
+        assert_eq!(fast.converged_at, None);
+        assert_eq!(fast.tail_instrs_replayed, 0);
+        assert_eq!(fast.prefix_instrs_skipped, store.instrs_before(1));
+    }
+
+    #[test]
+    fn instrumented_later_launch_simulates_while_in_sync() {
+        // An observation-only tool on launches 0 and 2: both simulate, the
+        // in-sync launch 1 between them replays.
+        let per_launch = 7 * 64;
+        let probe = Corrupt::new(&[0, 2], usize::MAX, Reg(0), 0, 0);
+        let calls = Arc::clone(&probe.calls);
+        let (_, store) = run_program_recording(&Chain, small_cfg());
+        let store = store.into_shared();
+        let out = run_program_fast_forward(
+            &Chain,
+            small_cfg(),
+            Some(Box::new(probe)),
+            Arc::clone(&store),
+            0,
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * per_launch, "launches 0 and 2 simulated");
+        assert_eq!(out.converged_at, Some(2));
+        assert_eq!(out.prefix_instrs_skipped, 0);
+        assert_eq!(
+            out.tail_instrs_replayed,
+            store.get(1).expect("launch 1").record.stats.dyn_instrs
+        );
+        assert_eq!(out.summary.dyn_instrs, 3 * per_launch);
+
+        // The same tool on a later launch whose earlier target diverged:
+        // nothing replays after the divergence.
+        let (_, fast, _) = full_and_fast(&Chain, || Corrupt::new(&[0, 2], 2, Reg(2), 3, 0xBAD), 0);
+        assert_eq!(fast.converged_at, None);
+        assert_eq!(fast.tail_instrs_replayed, 0);
+    }
+
     /// A tool that counts module loads, instruments every instruction of
     /// every kernel, and tallies device callbacks.
     struct CountingTool {

@@ -54,6 +54,13 @@ pub struct ProgramOutput {
     /// Dynamic instructions the run skipped by fast-forwarding the
     /// pre-injection prefix from checkpoints (0 for ordinary runs).
     pub prefix_instrs_skipped: u64,
+    /// Dynamic instructions the run skipped by replaying launches at or
+    /// past its target after converging back to golden (0 for ordinary
+    /// runs).
+    pub tail_instrs_replayed: u64,
+    /// Global launch index at which the run was proven back in sync with
+    /// golden ([`crate::Runtime::converged_at`]); `None` for ordinary runs.
+    pub converged_at: Option<u64>,
 }
 
 impl ProgramOutput {
@@ -107,9 +114,12 @@ pub fn run_program_recording(
     (out, store.unwrap_or_default())
 }
 
-/// Run a program with launches below global index `upto` replayed from a
-/// golden checkpoint store instead of simulated — the injection-run fast
-/// path. `out.prefix_instrs_skipped` reports the avoided work.
+/// Run a program against a golden checkpoint store — the injection-run
+/// fast path. Every launch the tool declines to instrument replays from the
+/// store while the run is in sync with golden ([`Runtime::fast_forward`]);
+/// `upto` is the target's global launch index. `out.prefix_instrs_skipped`
+/// and `out.tail_instrs_replayed` report the avoided work before and after
+/// the target.
 pub fn run_program_fast_forward(
     program: &dyn Program,
     cfg: RuntimeConfig,
@@ -154,9 +164,18 @@ fn drive(
     };
     let checkpoints = rt.take_checkpoints();
     let prefix_instrs_skipped = rt.prefix_instrs_skipped();
+    let tail_instrs_replayed = rt.tail_instrs_replayed();
+    let converged_at = rt.converged_at();
     let (stdout, files, anomalies) = rt.into_output();
-    (
-        ProgramOutput { stdout, files, termination, anomalies, summary, prefix_instrs_skipped },
-        checkpoints,
-    )
+    let out = ProgramOutput {
+        stdout,
+        files,
+        termination,
+        anomalies,
+        summary,
+        prefix_instrs_skipped,
+        tail_instrs_replayed,
+        converged_at,
+    };
+    (out, checkpoints)
 }

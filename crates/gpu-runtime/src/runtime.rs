@@ -144,26 +144,47 @@ impl Runtime {
         self.checkpoint_log.take()
     }
 
-    /// Replay launches below global index `upto` from a golden checkpoint
-    /// store instead of simulating them.
+    /// Replay launches from a golden checkpoint store instead of simulating
+    /// them, wherever that provably changes nothing.
     ///
-    /// The host application still runs in full (its allocations, copies, and
-    /// device reads behave exactly as in the golden run, because each
-    /// replayed launch restores the recorded post-launch memory image), but
-    /// the pre-injection kernel prefix costs O(pages) per launch instead of
-    /// a full simulation. Launches at or beyond `upto` — the injection
-    /// target and its tail — simulate normally.
+    /// A launch replays iff the run is still in sync with golden and the
+    /// attached tool declines to instrument it (see [`crate::checkpoint`]).
+    /// The host application still runs in full: its allocations, copies
+    /// and device reads behave exactly as in the golden run, because each
+    /// replayed launch restores the recorded post-launch memory image. A
+    /// replayed launch costs O(pages) instead of a full simulation.
+    ///
+    /// `upto` is the global index of the injection's target launch: launches
+    /// below it count as the skipped prefix
+    /// ([`Runtime::prefix_instrs_skipped`]), later replays as the converged
+    /// tail ([`Runtime::tail_instrs_replayed`]).
     ///
     /// If the observed launch sequence ever diverges from the recorded one
-    /// (it cannot before an injection fires, but this is checked), the
-    /// runtime falls back to full simulation from that point on.
+    /// (it cannot while in sync, but this is checked), the run falls out of
+    /// sync and simulates from that point on.
     pub fn fast_forward(&mut self, store: Arc<CheckpointStore>, upto: u64) {
-        self.fast_forward = Some(FastForward { store, upto, skipped_instrs: 0 });
+        self.fast_forward = Some(FastForward::new(store, upto));
     }
 
-    /// Dynamic instructions skipped by checkpoint replay this run.
+    /// Dynamic instructions skipped by replaying the pre-injection prefix
+    /// from checkpoints this run.
     pub fn prefix_instrs_skipped(&self) -> u64 {
         self.fast_forward.as_ref().map_or(0, |ff| ff.skipped_instrs)
+    }
+
+    /// Dynamic instructions skipped by replaying launches at or past the
+    /// injection target after the run converged back to golden.
+    pub fn tail_instrs_replayed(&self) -> u64 {
+        self.fast_forward.as_ref().map_or(0, |ff| ff.tail_replayed_instrs)
+    }
+
+    /// Global index of the launch at which this run was proven back in sync
+    /// with golden: the last launch that simulated, if memory and error
+    /// state matched the golden checkpoint after it and after every launch
+    /// before it. `None` without a checkpoint store, once the run diverged,
+    /// or if no launch simulated.
+    pub fn converged_at(&self) -> Option<u64> {
+        self.fast_forward.as_ref().and_then(FastForward::converged_at)
     }
 
     /// Attach a tool (the `LD_PRELOAD=tool.so` analog). At most one tool can
@@ -348,14 +369,15 @@ impl Runtime {
         }
 
         let info = KernelLaunchInfo { kernel: k, instance, grid, block };
+        let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
 
-        // Pre-injection prefix: replay from the golden checkpoint instead of
-        // simulating. The tool still observes the launch (it declines to
-        // instrument anything before its target), and memory lands on the
-        // exact golden post-launch image.
+        // Replay from the golden checkpoint instead of simulating: the run
+        // is in sync and the tool declined this launch, so simulating would
+        // reproduce the recorded launch exactly. Memory lands on the golden
+        // post-launch image.
         let global_idx = self.records.len() as u64;
-        if let Some(ff) = &mut self.fast_forward {
-            if global_idx < ff.upto {
+        if masks.is_none() {
+            if let Some(ff) = self.fast_forward.as_mut().filter(|ff| ff.in_sync) {
                 match ff.store.get(global_idx) {
                     Some(cp)
                         if cp.record.kernel == k.name()
@@ -365,23 +387,24 @@ impl Runtime {
                     {
                         let record = cp.record.clone();
                         self.mem.restore(&cp.mem);
-                        ff.skipped_instrs += record.stats.dyn_instrs;
+                        if global_idx < ff.upto {
+                            ff.skipped_instrs += record.stats.dyn_instrs;
+                        } else {
+                            ff.tail_replayed_instrs += record.stats.dyn_instrs;
+                        }
                         if let Some(tool) = self.tool.as_deref_mut() {
-                            // Parity with a full run: the tool is offered the
-                            // launch (masks are unused — nothing simulates).
-                            let _ = tool.instrument(&info);
                             tool.after_launch(&record);
                         }
                         self.records.push(record);
                         return Ok(());
                     }
-                    // Divergence from the recorded sequence (or a recorded
-                    // skip): fall back to full simulation from here on.
-                    _ => self.fast_forward = None,
+                    // Divergence from the recorded sequence: simulate from
+                    // here on.
+                    _ => ff.in_sync = false,
                 }
             }
         }
-        let masks: Option<InstrMasks> = self.tool.as_deref_mut().and_then(|t| t.instrument(&info));
+        let anomalies_before = self.anomalies.len();
 
         let launch = Launch { kernel: k, grid, block, params, instr_budget: self.cfg.instr_budget };
         let result = match (&mut self.tool, masks) {
@@ -426,6 +449,27 @@ impl Runtime {
 
         let record =
             LaunchRecord { kernel: k.name().to_string(), instance, stats, trap, skipped: false };
+        if let Some(ff) = &mut self.fast_forward {
+            ff.last_simulated = Some(global_idx);
+            ff.in_sync &= fatal.is_none()
+                && self.sticky.is_none()
+                && self.anomalies.len() == anomalies_before
+                && record.trap.is_none();
+            if ff.in_sync {
+                match ff.store.get(global_idx) {
+                    Some(cp)
+                        if cp.record.kernel == record.kernel
+                            && cp.record.instance == instance
+                            && self.mem.matches(&cp.mem) =>
+                    {
+                        // Share the golden pages again, so later boundary
+                        // checks compare by pointer.
+                        self.mem.restore(&cp.mem);
+                    }
+                    _ => ff.in_sync = false,
+                }
+            }
+        }
         if let Some(tool) = self.tool.as_deref_mut() {
             tool.after_launch(&record);
         }

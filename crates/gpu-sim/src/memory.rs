@@ -228,6 +228,21 @@ impl GlobalMem {
         self.brk = snap.brk;
     }
 
+    /// `true` if the contents and allocation break equal the snapshot's —
+    /// the test for a run being back in sync with a golden checkpoint.
+    ///
+    /// Pages still shared with the snapshot compare by pointer; only pages
+    /// written since are compared byte for byte, and a `None` page equals
+    /// a resident page of zeros.
+    pub fn matches(&self, snap: &MemSnapshot) -> bool {
+        self.brk == snap.brk
+            && self.pages.iter().zip(&snap.pages).all(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a[..] == b[..],
+                (None, None) => true,
+                (Some(p), None) | (None, Some(p)) => p.iter().all(|&x| x == 0),
+            })
+    }
+
     /// Mutable access to the page containing `addr`, materializing or
     /// un-sharing it as needed (the copy-on-write fault path).
     #[inline]
@@ -757,6 +772,55 @@ mod tests {
         let q = p.0 + PAGE_SIZE;
         assert!(Arc::ptr_eq(&page(&a, q), &page(&c, q)), "the untouched page is still shared");
         assert_eq!(page(&a, p.0)[(p.0 % PAGE_SIZE) as usize], 1, "snapshot kept its value");
+    }
+
+    #[test]
+    fn matches_treats_a_zero_page_as_untouched() {
+        let mut m = GlobalMem::new(1 << 20);
+        let p = m.alloc(2 * PAGE_SIZE).expect("alloc");
+        let untouched = m.snapshot();
+        m.write_u32s(p, &[0, 0]).expect("write zeros");
+        assert_eq!(m.resident_pages(), 1, "the zero write materialized a page");
+        assert!(m.matches(&untouched), "resident zeros equal a None page");
+        let zeros = m.snapshot();
+        m.restore(&untouched);
+        assert!(m.matches(&zeros), "a None page equals resident zeros");
+        m.write_u32s(p.offset(4), &[1]).expect("write");
+        assert!(!m.matches(&untouched));
+        assert!(!m.matches(&zeros));
+    }
+
+    #[test]
+    fn matches_compares_bytes_of_distinct_pages() {
+        let mut m = GlobalMem::new(1 << 20);
+        let p = m.alloc(2 * PAGE_SIZE).expect("alloc");
+        m.write_u32s(p, &[1, 2, 3]).expect("write");
+        m.write_u32s(p.offset(PAGE_SIZE), &[4]).expect("write");
+        let golden = m.snapshot();
+        assert!(m.matches(&golden), "shared pages match by pointer");
+
+        // Rewriting the same value un-shares the page but keeps its bytes.
+        m.write_u32s(p.offset(4), &[2]).expect("rewrite");
+        let page = |s: &MemSnapshot| s.pages[(p.0 / PAGE_SIZE) as usize].clone().expect("page");
+        assert!(!Arc::ptr_eq(&page(&golden), &page(&m.snapshot())), "distinct Arcs");
+        assert!(m.matches(&golden), "equal bytes in distinct pages match");
+
+        m.write_u32s(p.offset(PAGE_SIZE + 8), &[5]).expect("diverge");
+        assert!(!m.matches(&golden), "one differing byte is a mismatch");
+    }
+
+    #[test]
+    fn matches_requires_the_same_brk() {
+        let mut m = GlobalMem::new(1 << 20);
+        m.alloc(64).expect("alloc");
+        let before = m.snapshot();
+        m.alloc(64).expect("alloc within the same page");
+        assert_eq!(m.pages.len(), before.pages.len(), "same page table length");
+        assert!(!m.matches(&before), "a larger brk is a mismatch");
+        let after = m.snapshot();
+        m.restore(&before);
+        assert!(!m.matches(&after), "a smaller brk is a mismatch");
+        assert!(m.matches(&before));
     }
 
     #[test]

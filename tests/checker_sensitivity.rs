@@ -16,6 +16,8 @@ fn as_output(g: &GoldenOutput) -> ProgramOutput {
         anomalies: Vec::new(),
         summary: g.summary.clone(),
         prefix_instrs_skipped: 0,
+        tail_instrs_replayed: 0,
+        converged_at: None,
     }
 }
 

@@ -1,8 +1,10 @@
 //! Checkpoint fast-forward must be invisible to fault injection: for every
 //! suite program, an injection run that restores the golden checkpoint
-//! preceding its target kernel instance must produce the same classified
-//! `Outcome`, the same `InjectionDetail` (same architectural event), and
-//! bit-identical program output as a run that re-simulates the full prefix.
+//! preceding its target kernel instance — and replays the rest of the
+//! program if the fault dies inside its target launch — must produce the
+//! same classified `Outcome`, the same `InjectionDetail` (same
+//! architectural event), and bit-identical program output as a run that
+//! simulates every launch.
 
 use gpu_runtime::{run_program, run_program_fast_forward, RuntimeConfig};
 use nvbitfi::{
@@ -16,6 +18,7 @@ use workloads::Scale;
 
 #[test]
 fn checkpoint_restored_runs_match_full_reexecution_on_every_workload() {
+    let mut converged = 0;
     for entry in workloads::suite(Scale::Test) {
         let cfg = RuntimeConfig::default();
         let (golden, store) =
@@ -27,10 +30,10 @@ fn checkpoint_restored_runs_match_full_reexecution_on_every_workload() {
         run_cfg.instr_budget = Some(golden.suggested_budget());
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
 
-        // A couple of sites per program keeps the sweep cheap while still
+        // A few sites per program keeps the sweep cheap while still
         // exercising different target instances (and hence different
-        // checkpoint indices).
-        for _ in 0..2 {
+        // checkpoint indices) and both converging and diverging faults.
+        for _ in 0..6 {
             let params =
                 select_transient(&profile, InstrGroup::GpPr, BitFlipModel::FlipSingleBit, &mut rng)
                     .expect(entry.name);
@@ -66,8 +69,24 @@ fn checkpoint_restored_runs_match_full_reexecution_on_every_workload() {
                 store.instrs_before(upto),
                 "{ctx}: skipped exactly the recorded prefix"
             );
+            if let Some(at) = ff.converged_at {
+                // Proven golden again: the full re-simulation must agree.
+                converged += 1;
+                assert_eq!(at, upto, "{ctx}: converges at its target launch");
+                let outcome = classify(&golden, &full, entry.check.as_ref());
+                assert!(outcome.is_masked() && !outcome.potential_due, "{ctx}: {outcome:?}");
+                assert_eq!(full.stdout, golden.stdout, "{ctx}");
+                assert_eq!(
+                    ff.tail_instrs_replayed,
+                    store.records().skip(at as usize + 1).map(|r| r.stats.dyn_instrs).sum::<u64>(),
+                    "{ctx}: replayed the whole tail"
+                );
+            } else {
+                assert_eq!(ff.tail_instrs_replayed, 0, "{ctx}: diverged, so the tail simulated");
+            }
         }
     }
+    assert!(converged > 0, "some faults must die inside their target launch");
 }
 
 #[test]

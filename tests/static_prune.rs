@@ -19,14 +19,16 @@ use gpu_isa::{encode, CmpOp, Kernel, Module, PReg, Reg, SpecialReg};
 use gpu_runtime::{run_program, Program, Runtime, RuntimeConfig, RuntimeError};
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use nvbitfi::{
-    classify, golden_run, prune_dead_sites, run_transient_campaign, BitFlipModel, CampaignConfig,
-    ExactDiff, InstrGroup, ProfilingMode, TransientInjector, TransientParams,
+    classify, golden_run, golden_run_recording, profile_program, prune_dead_sites,
+    prune_dead_sites_from_checkpoints, run_transient_campaign, select_campaign, BitFlipModel,
+    CampaignConfig, ExactDiff, InstrGroup, ProfilingMode, TransientInjector, TransientParams,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
-use workloads::Scale;
 
 /// A program whose kernel mixes live computation with three dead writes
 /// (R10, R11, R13 are never read), so a uniform campaign lands a healthy
@@ -129,18 +131,30 @@ fn pruned_sites_simulate_to_masked() {
 }
 
 #[test]
-fn suite_campaigns_identical_with_and_without_pruning() {
-    for entry in workloads::suite(Scale::Test) {
-        let base = CampaignConfig {
-            injections: 12,
-            seed: 3,
-            workers: 2,
-            profiling: ProfilingMode::Exact,
-            ..CampaignConfig::default()
-        };
-        let (with, without) = paired_campaigns(entry.program.as_ref(), entry.check.as_ref(), &base);
-        assert_equivalent(&with, &without);
-    }
+fn checkpoint_resolution_flags_the_same_sites() {
+    // Resolving sites on the golden checkpoint store simulates only the
+    // target launch; it must flag exactly what the full-program resolver
+    // flags. (The suite-wide version lives in the equivalence matrix.)
+    let (golden, store) =
+        golden_run_recording(&DeadWrites, RuntimeConfig::default()).expect("golden");
+    let profile = profile_program(&DeadWrites, RuntimeConfig::default(), ProfilingMode::Exact)
+        .expect("profile");
+    let mut rng = StdRng::seed_from_u64(11);
+    let sites =
+        select_campaign(&profile, InstrGroup::Gp, BitFlipModel::FlipSingleBit, 60, &mut rng)
+            .expect("sites");
+    let cfg =
+        RuntimeConfig { instr_budget: Some(golden.suggested_budget()), ..RuntimeConfig::default() };
+    let full = prune_dead_sites(&DeadWrites, cfg.clone(), InstrGroup::Gp, &sites);
+    let on_store = prune_dead_sites_from_checkpoints(
+        &DeadWrites,
+        cfg,
+        InstrGroup::Gp,
+        &sites,
+        &store.into_shared(),
+    );
+    assert_eq!(on_store, full);
+    assert!(full.iter().any(|&f| f), "the dead writes must yield pruned sites");
 }
 
 // ---------------------------------------------------------------------------
