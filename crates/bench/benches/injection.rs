@@ -66,7 +66,7 @@ fn bench_site_selection(c: &mut Criterion) {
 
 fn bench_sim_throughput(c: &mut Criterion) {
     let kernel = workloads::kernels::saxpy_f32("saxpy");
-    let gpu = Gpu::new(GpuConfig::default());
+    let mut gpu = Gpu::new(GpuConfig::default());
     let n = 1024u32;
     let mut g = c.benchmark_group("simulator_throughput");
     g.bench_function("saxpy_1024_threads", |b| {

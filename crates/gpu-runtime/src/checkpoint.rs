@@ -82,6 +82,11 @@ impl CheckpointStore {
         self.checkpoints.get(idx as usize)
     }
 
+    /// The most recent checkpoint.
+    pub fn last(&self) -> Option<&Checkpoint> {
+        self.checkpoints.last()
+    }
+
     /// The recorded launch records, in launch order.
     pub fn records(&self) -> impl Iterator<Item = &LaunchRecord> {
         self.checkpoints.iter().map(|c| &c.record)

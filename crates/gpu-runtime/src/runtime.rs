@@ -484,7 +484,13 @@ impl Runtime {
     /// Capture a launch-boundary checkpoint if recording is enabled.
     fn log_checkpoint(&mut self, record: &LaunchRecord) {
         if let Some(log) = &mut self.checkpoint_log {
-            log.push(Checkpoint { mem: self.mem.snapshot(), record: record.clone() });
+            // Pages the launch rewrote with unchanged bytes share the
+            // previous checkpoint's copy.
+            let mem = match log.last() {
+                Some(prev) => self.mem.snapshot_sharing(&prev.mem),
+                None => self.mem.snapshot(),
+            };
+            log.push(Checkpoint { mem, record: record.clone() });
         }
     }
 

@@ -1,6 +1,6 @@
 //! The device front-end: configuration, launches, and statistics.
 
-use crate::block::{uses_local_memory, BlockState, Counters};
+use crate::block::{register_count, uses_local_memory, BlockState, Counters, ThreadPool};
 use crate::error::SimError;
 use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
@@ -53,7 +53,7 @@ impl Default for GpuConfig {
 /// k.exit();
 /// let kernel = k.finish();
 ///
-/// let gpu = Gpu::new(GpuConfig::default());
+/// let mut gpu = Gpu::new(GpuConfig::default());
 /// let mut mem = GlobalMem::new(1 << 20);
 /// let out = mem.alloc(64 * 4)?;
 /// let stats = gpu.launch(
@@ -71,6 +71,8 @@ pub struct Gpu {
     cfg: GpuConfig,
     deadline: Option<std::time::Instant>,
     limits: Option<crate::ResourceLimits>,
+    /// Thread states reused by every block of every launch.
+    threads: ThreadPool,
 }
 
 /// One kernel launch request.
@@ -104,7 +106,7 @@ pub struct LaunchStats {
 impl Gpu {
     /// Create a device with the given configuration.
     pub fn new(cfg: GpuConfig) -> Gpu {
-        Gpu { cfg, deadline: None, limits: None }
+        Gpu { cfg, deadline: None, limits: None, threads: ThreadPool::default() }
     }
 
     /// The device configuration.
@@ -132,7 +134,10 @@ impl Gpu {
     ///
     /// Blocks execute in linear order; each block runs on
     /// `sm = block_id % num_sms` for the purpose of `SR_SMID` and the
-    /// permanent-fault model's SM targeting.
+    /// permanent-fault model's SM targeting. Every block starts from zeroed
+    /// registers, predicates and local memory; the device reuses its thread
+    /// states across blocks and launches, which is why it is borrowed
+    /// mutably.
     ///
     /// # Errors
     ///
@@ -140,7 +145,7 @@ impl Gpu {
     /// [`SimError::Trap`] — with partial [`LaunchStats`] attached — when the
     /// kernel faults or exceeds its instruction budget.
     pub fn launch(
-        &self,
+        &mut self,
         l: &Launch<'_>,
         global: &mut GlobalMem,
         mut instrumentation: Option<&mut Instrumentation<'_>>,
@@ -222,10 +227,20 @@ impl Gpu {
             }
         }
         let local_bytes = if uses_local_memory(l.kernel) { self.cfg.local_mem_bytes } else { 0 };
+        let regs = register_count(l.kernel);
         let nblocks = l.grid.count() as u32;
         for b in 0..nblocks {
             let sm = b % self.cfg.num_sms;
-            let mut block = BlockState::new(l.kernel, l.grid, l.block, b, sm, local_bytes);
+            let mut block = BlockState::new(
+                &mut self.threads,
+                l.kernel,
+                l.grid,
+                l.block,
+                b,
+                sm,
+                local_bytes,
+                regs,
+            );
             let run =
                 block.run(l.kernel, global, &param_bytes, &mut counters, &mut instrumentation);
             if let Err(info) = run {

@@ -3,10 +3,19 @@
 //! The simulator executes kernels with an optional [`Instrumentation`]
 //! attached. Instrumentation names, per *static* instruction, whether a
 //! callback fires before and/or after that instruction executes for a
-//! thread. Unmarked instructions take a branch-free fast path, so — exactly
-//! as with NVBit's selective `insert_call` instrumentation — the overhead a
-//! tool pays is proportional to the number of *instrumented dynamic
-//! instructions*, not to program length.
+//! thread.
+//!
+//! The marks are read once per warp step, when the instruction issues.
+//! The step's lanes then run in ascending order in one loop; for each lane
+//! the before-hook fires (if marked), the instruction executes, and the
+//! after-hook fires (if marked), each hook call adding
+//! [`crate::cycles::HOOK_CYCLES`] to the running cycle count that a later
+//! lane's `SR_CLOCKLO` reads. An unmarked pc costs one loop-invariant
+//! branch per lane and never touches the tool, so — exactly as with
+//! NVBit's selective `insert_call` instrumentation — the overhead a tool
+//! pays is proportional to the number of *instrumented dynamic
+//! instructions*, not to program length. A hook may write any register of
+//! its thread; the device zeroes them before the thread's next block.
 
 use crate::regfile::RegFile;
 use gpu_isa::{Instr, PReg, Reg};

@@ -38,7 +38,6 @@ mod regfile;
 mod trap;
 
 pub use error::SimError;
-pub use exec::{exec_scalar, ExecEnv, Flow};
 pub use gpu::{Gpu, GpuConfig, Launch, LaunchStats, MAX_BLOCK_THREADS, MAX_PARAM_BYTES};
 pub use grid::Dim3;
 pub use hooks::{ExecHook, InstrSite, Instrumentation, ThreadCtx, ThreadMeta};
@@ -79,7 +78,7 @@ mod integration_tests {
 
     #[test]
     fn vecadd_end_to_end() {
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(1 << 20);
         let n = 256usize;
         let a = mem.alloc((n * 4) as u32).expect("alloc");
@@ -136,7 +135,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
 
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(1 << 16);
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
@@ -180,7 +179,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
 
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(1 << 16);
         let out_buf = mem.alloc(n * 4).expect("alloc");
         g.launch(
@@ -209,7 +208,7 @@ mod integration_tests {
         k.bra(top);
         k.exit();
         let kernel = k.finish();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let err = g
             .launch(
@@ -227,7 +226,10 @@ mod integration_tests {
         match err {
             SimError::Trap { info, stats } => {
                 assert_eq!(info.kind, TrapKind::Timeout);
-                assert!(stats.dyn_instrs >= 10_000);
+                // 312 warp steps use 9984 instructions; lanes 0..16 of the
+                // next one finish the budget and lane 16 traps.
+                assert_eq!(stats.dyn_instrs, 10_000);
+                assert_eq!((info.thread, info.pc), (Some(16), Some(0)));
             }
             other => panic!("expected trap, got {other:?}"),
         }
@@ -264,7 +266,7 @@ mod integration_tests {
             other => panic!("expected trap, got {other:?}"),
         }
         // Without the governor the same launch succeeds.
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         g.launch(
             &Launch {
@@ -287,7 +289,7 @@ mod integration_tests {
         k.stg(Reg(4), 0, Reg(0));
         k.exit();
         let kernel = k.finish();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let err = g
             .launch(
@@ -330,7 +332,7 @@ mod integration_tests {
         k.stg(out, 0, acc);
         k.exit();
         let kernel = k.finish();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         g.launch(
@@ -358,7 +360,7 @@ mod integration_tests {
         k.red(AtomOp::Add, ctr, 0, one);
         k.exit();
         let kernel = k.finish();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let c = mem.alloc(4).expect("alloc");
         g.launch(
@@ -384,7 +386,7 @@ mod integration_tests {
         k.movi(Reg(0), 1).guard = gpu_isa::Guard::if_true(PReg(0)); // P0=false
         k.exit();
         let kernel = k.finish();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let stats = g
             .launch(
@@ -416,7 +418,7 @@ mod integration_tests {
         k.stg(out, 0, sm);
         k.exit();
         let kernel = k.finish();
-        let g = Gpu::new(GpuConfig { num_sms: 4, ..GpuConfig::default() });
+        let mut g = Gpu::new(GpuConfig { num_sms: 4, ..GpuConfig::default() });
         let mut mem = GlobalMem::new(1 << 16);
         let out_buf = mem.alloc(10 * 4).expect("alloc");
         g.launch(
@@ -440,7 +442,7 @@ mod integration_tests {
     #[test]
     fn launch_validation() {
         let kernel = vecadd_kernel();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         assert!(matches!(
             g.launch(
@@ -477,8 +479,8 @@ mod integration_tests {
         // Identical launches produce identical stats — the property fault
         // sites depend on.
         let kernel = vecadd_kernel();
-        let g = gpu();
-        let run = || {
+        let mut g = gpu();
+        let mut run = || {
             let mut mem = GlobalMem::new(1 << 20);
             let a = mem.alloc(1024).expect("a");
             let b = mem.alloc(1024).expect("b");
@@ -539,7 +541,7 @@ mod integration_tests {
         k.exit();
         let kernel = k.finish();
 
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let out_buf = mem.alloc(32 * 4).expect("alloc");
         let mut hook = CountAndCorrupt { before_calls: 0, after_calls: 0, corrupt_at: u64::MAX };
@@ -606,7 +608,7 @@ mod integration_tests {
         struct Noop;
         impl ExecHook for Noop {}
         let kernel = vecadd_kernel();
-        let g = gpu();
+        let mut g = gpu();
         let mut mem = GlobalMem::new(4096);
         let mut hook = Noop;
         let before = vec![false; 2]; // wrong length
@@ -638,7 +640,7 @@ mod integration_tests {
         struct Noop;
         impl ExecHook for Noop {}
         let kernel = vecadd_kernel();
-        let g = gpu();
+        let mut g = gpu();
         let setup = |mem: &mut GlobalMem| {
             let a = mem.alloc(1024).expect("a");
             let b = mem.alloc(1024).expect("b");

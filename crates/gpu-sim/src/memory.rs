@@ -209,6 +209,24 @@ impl GlobalMem {
         MemSnapshot { pages: self.pages.clone(), brk: self.brk, capacity: self.capacity }
     }
 
+    /// Like [`GlobalMem::snapshot`], but first every resident page whose
+    /// bytes equal the page in the same slot of `prev` takes `prev`'s copy,
+    /// here and in the new snapshot. A page that a launch rewrote with
+    /// unchanged bytes is then stored once across consecutive snapshots.
+    /// Contents are unchanged.
+    pub fn snapshot_sharing(&mut self, prev: &MemSnapshot) -> MemSnapshot {
+        for (slot, old) in self.pages.iter_mut().zip(&prev.pages) {
+            let equal = matches!(
+                (&*slot, old),
+                (Some(page), Some(old)) if !Arc::ptr_eq(page, old) && page[..] == old[..]
+            );
+            if equal {
+                slot.clone_from(old);
+            }
+        }
+        self.snapshot()
+    }
+
     /// Restore contents and allocation state from a snapshot.
     ///
     /// The snapshot's pages are shared, not copied; subsequent writes to
@@ -479,21 +497,31 @@ fn device_check(space: Space, addr: u32, width: u32, lo: u32, hi: u32) -> Result
     Ok(())
 }
 
+/// The `N` bytes at `off`.
+#[inline]
+fn bytes_at<const N: usize>(data: &[u8], off: usize) -> [u8; N] {
+    data[off..off + N].try_into().expect("slice of length N")
+}
+
 /// Little-endian load of `width` bytes (width ∈ {1,2,4,8}).
 #[inline]
 fn load_le(data: &[u8], off: usize, width: u32) -> u64 {
-    let mut v = 0u64;
-    for i in 0..width as usize {
-        v |= (data[off + i] as u64) << (8 * i);
+    match width {
+        1 => data[off] as u64,
+        2 => u16::from_le_bytes(bytes_at(data, off)) as u64,
+        4 => u32::from_le_bytes(bytes_at(data, off)) as u64,
+        _ => u64::from_le_bytes(bytes_at(data, off)),
     }
-    v
 }
 
 /// Little-endian store of `width` bytes (width ∈ {1,2,4,8}).
 #[inline]
 fn store_le(data: &mut [u8], off: usize, width: u32, value: u64) {
-    for i in 0..width as usize {
-        data[off + i] = (value >> (8 * i)) as u8;
+    match width {
+        1 => data[off] = value as u8,
+        2 => data[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+        4 => data[off..off + 4].copy_from_slice(&(value as u32).to_le_bytes()),
+        _ => data[off..off + 8].copy_from_slice(&value.to_le_bytes()),
     }
 }
 
@@ -542,6 +570,44 @@ pub fn const_load(cmem: &[u8], addr: u32, width: MemWidth) -> Result<u64, TrapKi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Byte-at-a-time load: the oracle for `load_le`.
+    fn load_le_bytewise(data: &[u8], off: usize, width: u32) -> u64 {
+        let mut v = 0u64;
+        for i in 0..width as usize {
+            v |= (data[off + i] as u64) << (8 * i);
+        }
+        v
+    }
+
+    /// Byte-at-a-time store: the oracle for `store_le`.
+    fn store_le_bytewise(data: &mut [u8], off: usize, width: u32, value: u64) {
+        for i in 0..width as usize {
+            data[off + i] = (value >> (8 * i)) as u8;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_loads_and_stores_match_the_byte_loops(
+            seed in any::<u64>(),
+            value in any::<u64>(),
+            width_ix in 0usize..4,
+            slot in 0usize..4,
+        ) {
+            let width = MemWidth::ALL[width_ix].bytes();
+            let off = slot * width as usize;
+            let data: Vec<u8> = (0..32u64)
+                .map(|i| (seed.rotate_left(i as u32 * 8) ^ i.wrapping_mul(0x9E37)) as u8)
+                .collect();
+            prop_assert_eq!(load_le(&data, off, width), load_le_bytewise(&data, off, width));
+            let (mut got, mut want) = (data.clone(), data);
+            store_le(&mut got, off, width, value);
+            store_le_bytewise(&mut want, off, width, value);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn alloc_is_aligned_and_nonnull() {
@@ -671,6 +737,33 @@ mod tests {
         let mut back = vec![0u8; data.len()];
         m.copy_to_host(dst, &mut back).expect("read");
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn snapshot_sharing_stores_rewritten_pages_once() {
+        let mut m = GlobalMem::new(1 << 20);
+        let a = m.alloc(PAGE_SIZE).expect("alloc");
+        let b = m.alloc(PAGE_SIZE).expect("alloc");
+        m.write_u32s(a, &[1, 2]).expect("write");
+        m.write_u32s(b, &[3]).expect("write");
+        let first = m.snapshot();
+        // Page a is rewritten with the same bytes, page b with new ones.
+        m.write_u32s(a, &[1, 2]).expect("rewrite");
+        m.write_u32s(b, &[4]).expect("overwrite");
+        let second = m.snapshot_sharing(&first);
+        let slot = |s: &MemSnapshot, p: DevPtr| s.pages[p.0 as usize / PAGE_SIZE as usize].clone();
+        let (a1, a2) = (slot(&first, a).expect("a"), slot(&second, a).expect("a"));
+        assert!(Arc::ptr_eq(&a1, &a2), "unchanged page shared");
+        let (b1, b2) = (slot(&first, b).expect("b"), slot(&second, b).expect("b"));
+        assert!(!Arc::ptr_eq(&b1, &b2), "changed page kept");
+        assert_eq!(m.read_u32s(a, 2).expect("read"), vec![1, 2]);
+        assert_eq!(m.read_u32s(b, 1).expect("read"), vec![4]);
+        assert!(m.matches(&second));
+        // The live copy is shared too: a later write copies it again and
+        // leaves both snapshots intact.
+        m.write_u32s(a, &[9]).expect("write");
+        m.restore(&first);
+        assert_eq!(m.read_u32s(a, 2).expect("read"), vec![1, 2]);
     }
 
     #[test]

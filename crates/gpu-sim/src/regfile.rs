@@ -9,10 +9,11 @@ use gpu_isa::{PReg, Reg};
 /// A thread's architectural register state.
 ///
 /// `R255` (`RZ`) reads as zero and discards writes; `P7` (`PT`) reads as
-/// true and discards writes.
+/// true and discards writes. Only the GPRs below the highest one written
+/// or reserved are stored; every GPR past them reads as zero.
 #[derive(Debug, Clone)]
 pub struct RegFile {
-    r: [u32; 256],
+    r: Vec<u32>,
     p: u8,
 }
 
@@ -25,7 +26,33 @@ impl Default for RegFile {
 impl RegFile {
     /// A zero-initialized register file.
     pub fn new() -> RegFile {
-        RegFile { r: [0; 256], p: 0 }
+        RegFile { r: Vec::new(), p: 0 }
+    }
+
+    /// Read GPR `i`, which must lie below the reserved count and not be
+    /// `RZ` (warp dispatch folds `RZ` away at decode).
+    #[inline(always)]
+    pub(crate) fn get(&self, i: u8) -> u32 {
+        self.r[i as usize]
+    }
+
+    /// Write GPR `i`, which must lie below the reserved count and not be
+    /// `RZ`.
+    #[inline(always)]
+    pub(crate) fn set(&mut self, i: u8, v: u32) {
+        debug_assert!(i != Reg::RZ.0, "RZ is never written");
+        self.r[i as usize] = v;
+    }
+
+    /// Zero every GPR and predicate, keeping GPRs `0..count` stored so
+    /// [`RegFile::get`] and [`RegFile::set`] can reach them. The cost is
+    /// the number of GPRs stored before and after, not the 256 a thread
+    /// can name.
+    #[inline]
+    pub(crate) fn reset(&mut self, count: usize) {
+        self.r.clear();
+        self.r.resize(count, 0);
+        self.p = 0;
     }
 
     /// Read a 32-bit GPR.
@@ -34,7 +61,7 @@ impl RegFile {
         if r.is_zero_reg() {
             0
         } else {
-            self.r[r.index()]
+            self.r.get(r.index()).copied().unwrap_or(0)
         }
     }
 
@@ -42,6 +69,9 @@ impl RegFile {
     #[inline]
     pub fn write(&mut self, r: Reg, v: u32) {
         if !r.is_zero_reg() {
+            if r.index() >= self.r.len() {
+                self.r.resize(r.index() + 1, 0);
+            }
             self.r[r.index()] = v;
         }
     }
@@ -164,6 +194,20 @@ mod tests {
         let mut rf = RegFile::new();
         rf.write(Reg(10), 0xDEADBEEF);
         assert_eq!(rf.read(Reg(10)), 0xDEADBEEF);
+    }
+
+    #[test]
+    fn unstored_registers_read_zero_and_writes_store_them() {
+        let mut rf = RegFile::new();
+        assert_eq!(rf.read(Reg(200)), 0);
+        rf.write(Reg(200), 7);
+        assert_eq!(rf.read(Reg(200)), 7);
+        rf.write_p(PReg(2), true);
+        rf.reset(4);
+        assert_eq!(rf.read(Reg(200)), 0, "reset clears a register past the count");
+        assert!(!rf.read_p(PReg(2)));
+        rf.set(3, 9);
+        assert_eq!((rf.get(3), rf.read(Reg(3))), (9, 9));
     }
 
     #[test]
