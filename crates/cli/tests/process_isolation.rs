@@ -1,12 +1,15 @@
 //! Process-isolation robustness, end to end against the real `nvbitfi`
-//! binary: a SIGKILLed worker costs a retry (not the campaign), exhausted
-//! retries record `INFRA:died`, and `resume` reconstructs the isolation
-//! mode from the journal and re-runs exactly the infra rows.
+//! binary: every suite program reaches the same verdicts in worker
+//! processes as in threads, a SIGKILLed worker costs a retry (not the
+//! campaign), exhausted retries record `INFRA:died`, and `resume`
+//! reconstructs the isolation mode from the journal and re-runs exactly the
+//! infra rows.
 
+use nvbitfi::logfile::outcome_code;
 use nvbitfi::outcome::InfraKind;
 use nvbitfi::{
-    run_transient_campaign, CampaignConfig, FaultHook, IsolationMode, OutcomeClass,
-    ProcessIsolation, ProfilingMode,
+    run_transient_campaign, BitFlipModel, CampaignConfig, FaultHook, InstrGroup, IsolationMode,
+    OutcomeClass, ProcessIsolation, ProfilingMode, TransientCampaign, TransientParams,
 };
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -38,6 +41,44 @@ fn run(isolation: IsolationMode) -> nvbitfi::TransientCampaign {
         .expect("campaign runs")
 }
 
+/// The process-isolation column of `tests/equivalence_matrix.rs`: the same
+/// 15 programs, sites and fast paths (checkpoints and pruning on), run in
+/// worker processes, reach the thread-mode verdict on every run.
+#[test]
+fn process_isolation_matches_thread_mode_on_every_program() {
+    // Verdicts cross the pipe as journal codes, which carry no SDC detail.
+    let verdicts = |c: &TransientCampaign| -> Vec<(TransientParams, String, bool)> {
+        c.runs.iter().map(|r| (r.params.clone(), outcome_code(&r.outcome), r.injected)).collect()
+    };
+    for entry in workloads::suite(Scale::Test) {
+        let campaign = |isolation: IsolationMode| {
+            let cfg = CampaignConfig {
+                injections: 40,
+                group: InstrGroup::GpPr,
+                bit_flip: BitFlipModel::FlipSingleBit,
+                profiling: ProfilingMode::Exact,
+                seed: 0xE0_1CA7,
+                workers: 2,
+                use_checkpoints: true,
+                use_static_prune: true,
+                isolation,
+                ..CampaignConfig::default()
+            };
+            run_transient_campaign(entry.program.as_ref(), entry.check.as_ref(), &cfg)
+                .unwrap_or_else(|e| panic!("{}: {e}", entry.name))
+        };
+        let expected = verdicts(&campaign(IsolationMode::Thread));
+        let process =
+            campaign(IsolationMode::Process(ProcessIsolation::new(worker_command(), "test")));
+        assert_eq!(process.worker_deaths(), 0, "{}", entry.name);
+        let got = verdicts(&process);
+        assert_eq!(got.len(), expected.len(), "{}", entry.name);
+        for (i, (got, want)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "{} run {i}: process differs from thread", entry.name);
+        }
+    }
+}
+
 #[cfg(unix)]
 #[test]
 fn sigkilled_worker_is_respawned_and_counts_match_thread_mode() {
@@ -60,8 +101,8 @@ fn sigkilled_worker_is_respawned_and_counts_match_thread_mode() {
         // Process mode transports verdicts in the journal's canonical code
         // (SDC channel detail is not wire-preserved), so compare codes.
         assert_eq!(
-            nvbitfi::logfile::outcome_code(&a.outcome),
-            nvbitfi::logfile::outcome_code(&b.outcome),
+            outcome_code(&a.outcome),
+            outcome_code(&b.outcome),
             "per-site verdicts agree across isolation modes"
         );
     }

@@ -609,6 +609,8 @@ pub fn run_transient_campaign_with(
                         Attempt::Finished(_) | Attempt::Panicked => {}
                     }
                     if !cfg.retry_backoff.is_zero() {
+                        // Deliberate: the retry backoff is a delay, not a wait for an event.
+                        #[allow(clippy::disallowed_methods)]
                         std::thread::sleep(cfg.retry_backoff * attempts);
                     }
                 };
@@ -828,6 +830,8 @@ pub fn run_permanent_campaign(
                 Attempt::Finished(_) | Attempt::Panicked => {}
             }
             if !cfg.retry_backoff.is_zero() {
+                // Deliberate: the retry backoff is a delay, not a wait for an event.
+                #[allow(clippy::disallowed_methods)]
                 std::thread::sleep(cfg.retry_backoff * attempts);
             }
         }

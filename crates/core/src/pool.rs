@@ -83,6 +83,9 @@ impl ProcessIsolation {
     }
 }
 
+/// How long each shutdown step waits before escalating to the next.
+const GRACE: Duration = Duration::from_millis(500);
+
 const SIGTERM: i32 = 15;
 const SIGKILL: i32 = 9;
 
@@ -120,6 +123,41 @@ struct Worker {
 }
 
 impl Worker {
+    /// Start `command` with piped stdin/stdout and a reader thread that
+    /// turns its stdout into [`Event`]s. `None` if the command cannot start.
+    fn spawn(command: &[String]) -> Option<Worker> {
+        let (exe, args) = command.split_first()?;
+        let mut child = Command::new(exe)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn()
+            .ok()?;
+        let stdin = child.stdin.take()?;
+        let mut stdout = child.stdout.take()?;
+        let (tx, events) = channel();
+        let reader = std::thread::spawn(move || loop {
+            match read_frame(&mut stdout) {
+                Ok(Some(text)) => {
+                    let ev = Msg::parse(&text).map_or(Event::Corrupt, Event::Frame);
+                    let corrupt = matches!(ev, Event::Corrupt);
+                    if tx.send(ev).is_err() || corrupt {
+                        break;
+                    }
+                }
+                // Clean EOF and a torn frame end the stream the same way: the
+                // supervisor cannot tell a crash from corruption, and
+                // respawning is the right answer to both.
+                Ok(None) | Err(_) => {
+                    let _ = tx.send(Event::Eof);
+                    break;
+                }
+            }
+        });
+        Some(Worker { child, stdin, events, reader: Some(reader) })
+    }
+
     fn dispatch(&mut self, id: u64, site: &str) -> bool {
         write_frame(&mut self.stdin, &Msg::Run { id, site: site.to_string() }.to_json()).is_ok()
     }
@@ -134,26 +172,43 @@ impl Worker {
         }
     }
 
-    /// Graceful drain at end of campaign: shutdown frame, then SIGTERM,
-    /// then SIGKILL, each with a short grace window.
-    fn shutdown(mut self) {
-        const GRACE: Duration = Duration::from_millis(500);
+    /// Graceful drain at end of campaign: send the shutdown frame and wait
+    /// for the reader's EOF, which a worker produces by exiting, then reap.
+    /// A worker that keeps its stream open, or closes it but keeps running,
+    /// gets SIGTERM and then SIGKILL, each after a grace window. Returns the
+    /// last signal sent, `None` if the worker exited on its own.
+    fn shutdown(mut self) -> Option<i32> {
         let _ = write_frame(&mut self.stdin, &Msg::Shutdown.to_json());
-        if !wait_with_grace(&mut self.child, GRACE) {
+        let deadline = Instant::now() + GRACE;
+        let closed = loop {
+            match self.events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Event::Eof) => break true,
+                Ok(_) => {}
+                Err(_) => break false,
+            }
+        };
+        let mut signal = None;
+        if !(closed && wait_with_grace(&mut self.child)) {
             send_signal(self.child.id(), SIGTERM);
-            if !wait_with_grace(&mut self.child, GRACE) {
+            signal = Some(SIGTERM);
+            if !wait_with_grace(&mut self.child) {
                 let _ = self.child.kill();
+                signal = Some(SIGKILL);
             }
         }
         let _ = self.child.wait();
         if let Some(r) = self.reader.take() {
             let _ = r.join();
         }
+        signal
     }
 }
 
-fn wait_with_grace(child: &mut Child, grace: Duration) -> bool {
-    let deadline = Instant::now() + grace;
+/// Reap `child` if it exits within [`GRACE`]: a worker past its EOF, which
+/// is already exiting, or one sent SIGTERM.
+fn wait_with_grace(child: &mut Child) -> bool {
+    let deadline = Instant::now() + GRACE;
+    let mut pause = Duration::from_micros(50);
     loop {
         match child.try_wait() {
             Ok(Some(_)) | Err(_) => return true,
@@ -162,7 +217,11 @@ fn wait_with_grace(child: &mut Child, grace: Duration) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        // A child's exit raises no event this thread can wait on. Past its
+        // EOF a worker exits within microseconds, so the first pauses are short.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(5));
     }
 }
 
@@ -170,37 +229,7 @@ fn wait_with_grace(child: &mut Child, grace: Duration) -> bool {
 /// Returns `None` on any failure (command missing, instant exit, handshake
 /// timeout) — the caller treats it as a worker death.
 fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
-    let (exe, args) = iso.command.split_first()?;
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .ok()?;
-    let stdin = child.stdin.take()?;
-    let mut stdout = child.stdout.take()?;
-    let (tx, events) = channel();
-    let reader = std::thread::spawn(move || loop {
-        match read_frame(&mut stdout) {
-            Ok(Some(text)) => {
-                let ev = Msg::parse(&text).map_or(Event::Corrupt, Event::Frame);
-                let corrupt = matches!(ev, Event::Corrupt);
-                if tx.send(ev).is_err() || corrupt {
-                    break;
-                }
-            }
-            // Clean EOF and a torn frame end the stream the same way: the
-            // supervisor cannot tell a crash from corruption, and respawning
-            // is the right answer to both.
-            Ok(None) | Err(_) => {
-                let _ = tx.send(Event::Eof);
-                break;
-            }
-        }
-    });
-    let mut worker = Worker { child, stdin, events, reader: Some(reader) };
-
+    let mut worker = Worker::spawn(&iso.command)?;
     if write_frame(&mut worker.stdin, &Msg::Init(init.clone()).to_json()).is_err() {
         worker.kill();
         return None;
@@ -327,6 +356,8 @@ fn run_site(
             Some(_) | None => {}
         }
         if !cfg.retry_backoff.is_zero() {
+            // Deliberate: the retry backoff is a delay, not a wait for an event.
+            #[allow(clippy::disallowed_methods)]
             std::thread::sleep(cfg.retry_backoff * attempts);
         }
     }
@@ -438,6 +469,34 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1.outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));
         assert_eq!(out[0].1.attempts, 1);
+    }
+
+    /// A stand-in worker: `script` run by `/bin/sh -c`.
+    #[cfg(unix)]
+    fn stand_in(script: &str) -> Worker {
+        Worker::spawn(&["/bin/sh".into(), "-c".into(), script.into()]).expect("sh starts")
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_worker_that_exits_on_its_first_input_needs_no_signal() {
+        assert_eq!(stand_in("head -c 1 >/dev/null").shutdown(), None);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_worker_that_ignores_the_shutdown_frame_is_terminated() {
+        assert_eq!(stand_in("exec sleep 30").shutdown(), Some(SIGTERM));
+    }
+
+    /// EOF is not exit: a worker that closes stdout but keeps running (and
+    /// ignores SIGTERM) is killed after two grace windows, not waited on.
+    #[test]
+    #[cfg(unix)]
+    fn a_worker_that_closes_stdout_and_keeps_running_is_killed() {
+        let t = Instant::now();
+        assert_eq!(stand_in("trap '' TERM; exec sleep 30 >&-").shutdown(), Some(SIGKILL));
+        assert!(t.elapsed() < GRACE * 3, "shutdown took {:?}", t.elapsed());
     }
 
     #[test]

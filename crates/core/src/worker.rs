@@ -18,10 +18,13 @@
 //! * **Session** — supervisor sends [`Msg::Init`]; the worker resolves the
 //!   workload, replays its own golden run (simulation is deterministic, so
 //!   the worker's golden is bit-identical to the supervisor's) and answers
-//!   [`Msg::Ready`]. Each [`Msg::Run`] is answered by one [`Msg::Done`];
-//!   while a run is executing the worker emits [`Msg::Heartbeat`] frames so
-//!   the supervisor can tell a long simulation from a wedged process.
-//!   [`Msg::Shutdown`] (or stdin EOF) ends the session.
+//!   [`Msg::Ready`]. Each [`Msg::Run`] is answered by one [`Msg::Done`],
+//!   written the moment the run's thread reports its verdict. The heartbeat
+//!   is a timeout on that completion channel: each interval the run is still
+//!   going, the worker emits a [`Msg::Heartbeat`] frame so the supervisor
+//!   can tell a long simulation from a wedged process.
+//!   [`Msg::Shutdown`] (or stdin EOF) ends the session; the worker exits,
+//!   which closes its stdout, and the supervisor reaps it on that EOF.
 //!
 //! Anything unexpected — an unparseable frame, an unknown workload, a
 //! malformed site — earns a [`Msg::Error`] reply and a clean exit: the
@@ -35,6 +38,7 @@ use crate::params::TransientParams;
 use crate::transient::TransientInjector;
 use gpu_runtime::{run_program, run_program_fast_forward, CheckpointStore, Program, RuntimeConfig};
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -445,27 +449,28 @@ impl Msg {
 pub type Resolver =
     dyn Fn(&str, &str) -> Option<(Box<dyn Program + Send + Sync>, Box<dyn SdcCheck + Send + Sync>)>;
 
-/// Run `work` on a scoped thread while the calling thread writes
-/// [`Msg::Heartbeat`] frames every `interval` — proof of life during a long
-/// (or fault-wedged-but-progressing) simulation. Returns the work's result.
+/// Run `work` on a scoped thread while the calling thread waits on its
+/// completion channel, writing a [`Msg::Heartbeat`] frame each time the wait
+/// times out after `interval` — proof of life during a long (or
+/// fault-wedged-but-progressing) simulation. Returns the work's result as
+/// soon as it is sent, so a short run costs no more than its own time.
 fn run_with_heartbeat<R: Send>(
     interval: Duration,
     output: &mut impl Write,
     work: impl FnOnce() -> R + Send,
 ) -> io::Result<R> {
     std::thread::scope(|s| {
-        let handle = s.spawn(work);
-        let slice = Duration::from_millis(2).min(interval);
-        let mut since_beat = Duration::ZERO;
-        while !handle.is_finished() {
-            std::thread::sleep(slice);
-            since_beat += slice;
-            if since_beat >= interval && !handle.is_finished() {
-                write_frame(output, &Msg::Heartbeat.to_json())?;
-                since_beat = Duration::ZERO;
+        let (tx, done) = mpsc::channel();
+        s.spawn(move || tx.send(work()));
+        loop {
+            match done.recv_timeout(interval) {
+                Ok(result) => return Ok(result),
+                Err(RecvTimeoutError::Timeout) => write_frame(output, &Msg::Heartbeat.to_json())?,
+                Err(RecvTimeoutError::Disconnected) => {
+                    unreachable!("worker run thread catches its own panics")
+                }
             }
         }
-        Ok(handle.join().expect("worker run thread catches its own panics"))
     })
 }
 
@@ -682,15 +687,35 @@ mod tests {
         }
     }
 
-    fn resolve_tiny(
+    /// Heartbeat interval of the [`Slow`] program's sessions.
+    const BEAT: Duration = Duration::from_millis(20);
+
+    /// A program whose every run lasts five heartbeat intervals.
+    struct Slow;
+    impl Program for Slow {
+        fn name(&self) -> &str {
+            "slow"
+        }
+        fn run(&self, rt: &mut Runtime) -> Result<(), RuntimeError> {
+            // The stand-in for a long simulation is a timer by design.
+            #[allow(clippy::disallowed_methods)]
+            std::thread::sleep(BEAT * 5);
+            rt.println("result 42");
+            Ok(())
+        }
+    }
+
+    fn resolve_test_program(
         program: &str,
         scale: &str,
     ) -> Option<(Box<dyn Program + Send + Sync>, Box<dyn SdcCheck + Send + Sync>)> {
-        (program == "tiny" && scale == "test").then(|| {
-            let p: Box<dyn Program + Send + Sync> = Box::new(Tiny);
-            let c: Box<dyn SdcCheck + Send + Sync> = Box::new(ExactDiff);
-            (p, c)
-        })
+        let p: Box<dyn Program + Send + Sync> = match (program, scale) {
+            ("tiny", "test") => Box::new(Tiny),
+            ("slow", "test") => Box::new(Slow),
+            _ => return None,
+        };
+        let c: Box<dyn SdcCheck + Send + Sync> = Box::new(ExactDiff);
+        Some((p, c))
     }
 
     fn session(frames: &[Msg]) -> Vec<Msg> {
@@ -699,7 +724,7 @@ mod tests {
             write_frame(&mut input, &m.to_json()).unwrap();
         }
         let mut output = Vec::new();
-        serve(Cursor::new(input), &mut output, &resolve_tiny).unwrap();
+        serve(Cursor::new(input), &mut output, &resolve_test_program).unwrap();
         let mut r = Cursor::new(output);
         let mut replies = Vec::new();
         while let Some(text) = read_frame(&mut r).unwrap() {
@@ -708,9 +733,18 @@ mod tests {
         replies
     }
 
-    #[test]
-    fn serve_runs_a_session_end_to_end() {
-        let site = TransientParams {
+    fn init(program: &str, heartbeat_ms: u64) -> Msg {
+        Msg::Init(WorkerInit {
+            program: program.into(),
+            scale: "test".into(),
+            use_checkpoints: true,
+            deadline_ms: None,
+            heartbeat_ms,
+        })
+    }
+
+    fn masked_site() -> String {
+        TransientParams {
             group: InstrGroup::Gp,
             bit_flip: BitFlipModel::FlipSingleBit,
             kernel_name: "nonexistent".into(),
@@ -718,18 +752,14 @@ mod tests {
             instruction_count: 0,
             destination_register: 0.5,
             bit_pattern: 0.5,
-        };
-        let replies = session(&[
-            Msg::Init(WorkerInit {
-                program: "tiny".into(),
-                scale: "test".into(),
-                use_checkpoints: true,
-                deadline_ms: None,
-                heartbeat_ms: 1000,
-            }),
-            Msg::Run { id: 3, site: site.to_file() },
-            Msg::Shutdown,
-        ]);
+        }
+        .to_file()
+    }
+
+    #[test]
+    fn serve_runs_a_session_end_to_end() {
+        let replies =
+            session(&[init("tiny", 1000), Msg::Run { id: 3, site: masked_site() }, Msg::Shutdown]);
         assert_eq!(replies[0], Msg::Ready);
         // The target kernel never launches, so the fault cannot fire and the
         // run is Masked — what matters here is the protocol, not the fault.
@@ -738,6 +768,47 @@ mod tests {
             other => panic!("expected a Done frame, got {other:?}"),
         }
         assert_eq!(replies.len(), 2);
+    }
+
+    #[test]
+    fn long_runs_heartbeat_before_their_verdict() {
+        let beat_ms = u64::try_from(BEAT.as_millis()).unwrap();
+        let replies = session(&[
+            init("slow", beat_ms),
+            Msg::Run { id: 1, site: masked_site() },
+            Msg::Shutdown,
+        ]);
+        assert_eq!(replies[0], Msg::Ready, "golden replay at init sends no heartbeat");
+        let (last, beats) = replies[1..].split_last().expect("a verdict follows Ready");
+        assert!(matches!(last, Msg::Done { id: 1, .. }), "{last:?}");
+        assert!(beats.iter().all(|m| *m == Msg::Heartbeat), "{beats:?}");
+        assert!(beats.len() >= 3, "a run of 5 intervals beat only {} times", beats.len());
+    }
+
+    #[test]
+    fn an_instant_run_emits_no_heartbeat() {
+        let mut out = Vec::new();
+        assert_eq!(run_with_heartbeat(BEAT, &mut out, || 7).unwrap(), 7);
+        assert!(out.is_empty(), "{} bytes of heartbeat frames", out.len());
+    }
+
+    /// The verdict is written as soon as the run ends: nothing rounds a
+    /// run's wall time up to a polling slice.
+    #[test]
+    fn short_runs_pay_no_polling_floor() {
+        let mut frames = vec![init("tiny", 100)];
+        frames.extend((0..20).map(|id| Msg::Run { id, site: masked_site() }));
+        frames.push(Msg::Shutdown);
+        let walls: Vec<u64> = session(&frames)
+            .iter()
+            .filter_map(|m| match m {
+                Msg::Done { wall_us, .. } => Some(*wall_us),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(walls.len(), 20);
+        let fastest = walls.iter().min().unwrap();
+        assert!(*fastest < 1_000, "fastest of 20 tiny runs took {fastest} us");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! reach the same verdict on each, run for run, as the configuration with
 //! every fast path off.
 //!
-//! A later fast path adds a column here rather than a test of its own.
+//! A later fast path adds a column here rather than a test of its own. The
+//! process-isolation column is
+//! `crates/cli/tests/process_isolation.rs::process_isolation_matches_thread_mode_on_every_program`:
+//! only that test crate can spawn the `nvbitfi` binary as a worker.
 
 use nvbitfi::{
     run_transient_campaign, BitFlipModel, CampaignConfig, InstrGroup, Outcome, ProfilingMode,
