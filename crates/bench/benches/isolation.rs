@@ -1,8 +1,10 @@
 //! Isolation-mode overhead: the same small campaign run with in-process
 //! worker threads vs supervised disposable worker processes. Process mode
 //! pays for child spawns, per-worker golden-run replay, and frame-protocol
-//! round-trips; the acceptance target is staying under 2x the thread-mode
-//! wall clock on this smoke campaign.
+//! round-trips. On two vCPUs it measures about 2.5x the thread-mode wall
+//! clock on this smoke campaign (8.4 ms vs 3.4 ms). The ratio grew past the
+//! 2x it once held because thread mode got about 6x faster while process
+//! mode's fixed spawn and replay costs stayed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvbitfi::{CampaignConfig, IsolationMode, ProcessIsolation, ProfilingMode};

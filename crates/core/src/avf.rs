@@ -15,11 +15,10 @@ use crate::campaign::TransientCampaign;
 use crate::igid::InstrGroup;
 use crate::profile::Profile;
 use crate::stats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An AVF estimate with its sampling error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvfEstimate {
     /// Number of injections behind the estimate.
     pub injections: usize,
@@ -62,7 +61,7 @@ pub fn from_campaign(c: &TransientCampaign) -> AvfEstimate {
 }
 
 /// One group's contribution to a whole-program AVF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupAvf {
     /// The instruction group sampled.
     pub group: InstrGroup,

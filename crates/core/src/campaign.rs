@@ -7,11 +7,14 @@
 //! dynamic instruction share (Figure 3).
 //!
 //! Injection runs are independent processes in the paper; here they are
-//! independent simulator instances, fanned out across worker threads.
+//! independent simulator instances, fanned out across worker slots: threads,
+//! or threads that each supervise one worker process ([`crate::pool`]).
+//! Either way a run goes through the same fan-out ([`fan_out_until`]), the
+//! same retry loop ([`retry`]) and the same injection body ([`inject`]).
 
 use crate::bitflip::BitFlipModel;
 use crate::error::FiError;
-use crate::golden::{golden_run, golden_run_recording, GoldenOutput};
+use crate::golden::{golden_run, golden_setup, GoldenOutput};
 use crate::igid::InstrGroup;
 use crate::outcome::{classify, InfraKind, Outcome, OutcomeClass, OutcomeCounts, SdcCheck};
 use crate::params::{PermanentParams, TransientParams};
@@ -21,7 +24,9 @@ use crate::profile::{profile_program, Profile, ProfilingMode};
 use crate::prune::{prune_dead_sites, prune_dead_sites_from_checkpoints};
 use crate::select::select_campaign;
 use crate::transient::TransientInjector;
-use gpu_runtime::{run_program, run_program_fast_forward, Program, RuntimeConfig};
+use gpu_runtime::{
+    run_program, run_program_fast_forward, CheckpointStore, Program, RuntimeConfig, Tool,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -269,38 +274,33 @@ pub struct NoHooks;
 
 impl CampaignHooks for NoHooks {}
 
-fn fan_out<T: Send, R: Send>(
-    workers: usize,
-    items: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    fan_out_until(workers, items, &|| false, f).0
-}
-
-/// Fan `items` out over `workers` threads, polling `stop` before each
-/// dispatch. Returns the completed results in item order plus whether the
-/// run was cut short. A stopped fan-out still waits for in-flight items.
-fn fan_out_until<T: Send, R: Send>(
-    workers: usize,
+/// Fan `items` out over up to `slots` threads, polling `stop` before each
+/// dispatch. Each thread keeps one `S` (a worker process, or nothing) for
+/// every item it takes and drops it when the queue runs dry. Returns the
+/// completed results in item order plus whether the run was cut short. A
+/// stopped fan-out still waits for in-flight items.
+pub(crate) fn fan_out_until<T: Send, R: Send, S: Default>(
+    slots: usize,
     items: Vec<T>,
     stop: &(dyn Fn() -> bool + Sync),
-    f: impl Fn(usize, T) -> R + Sync,
+    f: impl Fn(&mut S, T) -> R + Sync,
 ) -> (Vec<R>, bool) {
     let total = items.len();
-    let todo: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let input = Mutex::new(todo.into_iter());
+    let input = Mutex::new(items.into_iter().enumerate());
     let output: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
-    let workers = workers.max(1);
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if stop() {
-                    break;
+        for _ in 0..slots.clamp(1, total.max(1)) {
+            s.spawn(|| {
+                let mut slot = S::default();
+                loop {
+                    if stop() {
+                        break;
+                    }
+                    let next = input.lock().next();
+                    let Some((idx, item)) = next else { break };
+                    let r = f(&mut slot, item);
+                    output.lock().push((idx, r));
                 }
-                let next = input.lock().next();
-                let Some((idx, item)) = next else { break };
-                let r = f(idx, item);
-                output.lock().push((idx, r));
             });
         }
     });
@@ -314,22 +314,7 @@ fn fan_out_until<T: Send, R: Send>(
 /// columns a results-log row serializes, so a reloaded row matches a
 /// reselected site iff their log lines would be identical.
 fn site_key(p: &TransientParams) -> String {
-    format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        p.group.id(),
-        p.bit_flip.id(),
-        p.kernel_name,
-        p.kernel_count,
-        p.instruction_count,
-        p.destination_register,
-        p.bit_pattern
-    )
-}
-
-/// One execution attempt's result, as seen through the isolation boundary.
-enum Attempt<R> {
-    Finished(R),
-    Panicked,
+    p.to_file()
 }
 
 /// Run `f` and measure how long it took.
@@ -339,13 +324,126 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t.elapsed())
 }
 
-/// Run `f` with worker-panic isolation: a panic unwinds to here instead of
-/// taking down the fan-out scope (and with it every in-flight run).
-fn isolate<R>(f: impl FnOnce() -> R) -> Attempt<R> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => Attempt::Finished(r),
-        Err(_) => Attempt::Panicked,
+/// Run `f` with panic isolation: a panic unwinds to here and yields `None`
+/// instead of taking down the fan-out scope (and with it every in-flight
+/// run) or the worker session.
+pub(crate) fn isolate<R>(f: impl FnOnce() -> R) -> Option<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+}
+
+/// The verdict [`retry`] settled on.
+pub(crate) struct Settled<T> {
+    /// The last attempt's outcome, or `InfraError` if it gave none.
+    pub(crate) outcome: Outcome,
+    /// The last attempt's details; `None` if it gave no outcome.
+    pub(crate) detail: Option<T>,
+    /// Wall-clock time of the last attempt.
+    pub(crate) wall: Duration,
+    /// Attempts made, the last one included.
+    pub(crate) attempts: u32,
+}
+
+/// Drive one run to a verdict: call `attempt` with the 1-based attempt
+/// number until it returns a non-infrastructure outcome or `max_retries + 1`
+/// attempts are spent, pausing `backoff × attempt` between tries. `None`
+/// from `attempt` means it ended without an outcome (a panic, a dead
+/// worker); if the last attempt does, the verdict is `InfraError(gave_up)`.
+/// A runaway or crashing run thus costs one verdict, never the campaign.
+pub(crate) fn retry<T>(
+    max_retries: u32,
+    backoff: Duration,
+    gave_up: InfraKind,
+    mut attempt: impl FnMut(u32) -> Option<(Outcome, T)>,
+) -> Settled<T> {
+    let max_attempts = max_retries.saturating_add(1);
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        let (result, wall) = timed(|| attempt(attempts));
+        let last = attempts >= max_attempts;
+        match result {
+            Some((outcome, detail)) if last || !outcome.is_infra() => {
+                return Settled { outcome, detail: Some(detail), wall, attempts };
+            }
+            None if last => {
+                let outcome =
+                    Outcome { class: OutcomeClass::InfraError(gave_up), potential_due: false };
+                return Settled { outcome, detail: None, wall, attempts };
+            }
+            Some(_) | None => {}
+        }
+        if !backoff.is_zero() {
+            // Deliberate: the retry backoff is a delay, not a wait for an event.
+            #[allow(clippy::disallowed_methods)]
+            std::thread::sleep(backoff * attempts);
+        }
     }
+}
+
+/// The global launch index of `params`' target kernel instance in `store`.
+/// A site the golden run never reached (possible with approximate profiles)
+/// can never fire, so its run fast-forwards through every recorded launch.
+fn target_launch(store: &CheckpointStore, params: &TransientParams) -> u64 {
+    store.find_instance(&params.kernel_name, params.kernel_count).unwrap_or(store.len() as u64)
+}
+
+/// One injection run: execute `program` under a [`TransientInjector`] for
+/// `params`, fast-forwarding its prefix from `store` when there is one, and
+/// classify it against `golden`. Returns the outcome, whether the fault
+/// fired, and the prefix instructions skipped. Thread slots and process
+/// workers both run exactly this.
+pub(crate) fn inject(
+    program: &dyn Program,
+    check: &dyn SdcCheck,
+    golden: &GoldenOutput,
+    store: Option<&Arc<CheckpointStore>>,
+    cfg: &RuntimeConfig,
+    params: &TransientParams,
+) -> (Outcome, bool, u64) {
+    let (tool, handle) = TransientInjector::new(params.clone());
+    let tool: Option<Box<dyn Tool>> = Some(Box::new(tool));
+    let out = match store {
+        Some(s) => run_program_fast_forward(
+            program,
+            cfg.clone(),
+            tool,
+            Arc::clone(s),
+            target_launch(s, params),
+        ),
+        None => run_program(program, cfg.clone(), tool),
+    };
+    (classify(golden, &out, check), handle.get().injected, out.prefix_instrs_skipped)
+}
+
+/// Fan a campaign's sites `(selection index, params, pruned)` out over
+/// `workers` slots of type `S`. A pruned site gets its Masked verdict here
+/// without simulation; a live one goes to `run_live`. Every verdict reaches
+/// [`CampaignHooks::on_run`] as it completes. Returns `(selection index,
+/// run)` pairs plus whether `hooks` stopped the campaign early.
+pub(crate) fn dispatch<S: Default>(
+    workers: usize,
+    work: Vec<(usize, TransientParams, bool)>,
+    hooks: &dyn CampaignHooks,
+    run_live: impl Fn(&mut S, usize, TransientParams) -> InjectionRun + Sync,
+) -> (Vec<(usize, InjectionRun)>, bool) {
+    fan_out_until(workers, work, &|| hooks.should_stop(), |slot, (orig, params, pruned)| {
+        let run = if pruned {
+            InjectionRun {
+                params,
+                outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
+                injected: true,
+                wall: Duration::ZERO,
+                prefix_instrs_skipped: 0,
+                pruned: true,
+                attempts: 1,
+                resumed: false,
+            }
+        } else {
+            run_live(slot, orig, params)
+        };
+        hooks.on_run(&run);
+        (orig, run)
+    })
 }
 
 /// Run a complete transient-fault campaign on one program.
@@ -387,6 +485,17 @@ pub fn run_transient_campaign_with(
     prior: Vec<InjectionRun>,
     hooks: &dyn CampaignHooks,
 ) -> Result<TransientCampaign, FiError> {
+    // Workers run with the default runtime configuration (`WorkerInit`
+    // carries none), so a custom one would select sites on one device and
+    // execute them on another.
+    if matches!(cfg.isolation, IsolationMode::Process(_)) && cfg.runtime != RuntimeConfig::default()
+    {
+        return Err(FiError::BadParam {
+            name: "runtime",
+            reason: "process isolation runs workers with the default runtime configuration".into(),
+        });
+    }
+
     // Steps 0-1: the golden run (also calibrates the hang monitor) and the
     // profile. With checkpoints enabled, golden also records the
     // launch-boundary state every later run fast-forwards from. Under
@@ -399,33 +508,23 @@ pub fn run_transient_campaign_with(
     // path).
     let t_setup = Instant::now();
     let overlap = cfg.use_checkpoints && matches!(cfg.isolation, IsolationMode::Thread);
-    let ((golden, checkpoints, golden_wall), (profile, profiling_wall)) = if overlap {
-        let ((recorded, g_wall), (profiled, p_wall)) = std::thread::scope(|s| {
-            let profiling =
-                s.spawn(|| timed(|| profile_program(program, cfg.runtime.clone(), cfg.profiling)));
-            let golden = timed(|| golden_run_recording(program, cfg.runtime.clone()));
-            (golden, profiling.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-        });
-        let (g, store) = recorded?;
-        ((g, Some(store.into_shared()), g_wall), (profiled?, p_wall))
+    let golden_timed = || timed(|| golden_setup(program, cfg.runtime.clone(), cfg.use_checkpoints));
+    let profile_timed = |rt: RuntimeConfig| timed(|| profile_program(program, rt, cfg.profiling));
+    let ((recorded, golden_wall), overlapped) = if overlap {
+        std::thread::scope(|s| {
+            let profiling = s.spawn(|| profile_timed(cfg.runtime.clone()));
+            let golden = golden_timed();
+            (golden, Some(profiling.join().unwrap_or_else(|p| std::panic::resume_unwind(p))))
+        })
     } else {
-        let (recorded, g_wall) = timed(|| {
-            if cfg.use_checkpoints {
-                golden_run_recording(program, cfg.runtime.clone())
-                    .map(|(g, store)| (g, Some(store.into_shared())))
-            } else {
-                golden_run(program, cfg.runtime.clone()).map(|g| (g, None))
-            }
-        });
-        let (g, store) = recorded?;
-        let mut budgeted = cfg.runtime.clone();
-        budgeted.instr_budget = Some(g.suggested_budget());
-        let (p, p_wall) = timed(|| profile_program(program, budgeted, cfg.profiling));
-        ((g, store, g_wall), (p?, p_wall))
+        (golden_timed(), None)
     };
-    let golden_and_profiling = t_setup.elapsed();
+    let (golden, checkpoints) = recorded?;
     let mut run_cfg = cfg.runtime.clone();
     run_cfg.instr_budget = Some(golden.suggested_budget());
+    let (profile, profiling_wall) = overlapped.unwrap_or_else(|| profile_timed(run_cfg.clone()));
+    let profile = profile?;
+    let golden_and_profiling = t_setup.elapsed();
 
     // Step 2: select fault sites. Selection consumes the RNG before any
     // pruning happens, so a seed picks the same sites with pruning on or
@@ -445,23 +544,18 @@ pub fn run_transient_campaign_with(
         (None, true) => timed(|| prune_dead_sites(program, run_cfg.clone(), cfg.group, &sites)),
     };
 
-    // Resolve each site's target to a global launch index and group sites
-    // by it: runs sharing a target restore the same checkpoint, so the
-    // store's pages stay warm across consecutive work items. A site the
-    // golden run never reached (possible with approximate profiles) can
-    // never fire, so its run fast-forwards through every recorded launch.
-    let mut work: Vec<(usize, TransientParams, Option<u64>, bool)> = sites
+    // Group sites by their target launch: runs sharing a target restore the
+    // same checkpoint, so the store's pages stay warm across consecutive
+    // work items.
+    let mut work: Vec<(usize, TransientParams, bool)> = sites
         .into_iter()
         .zip(pruned_flags)
         .enumerate()
-        .map(|(i, (p, pruned))| {
-            let upto = checkpoints
-                .as_ref()
-                .map(|s| s.find_instance(&p.kernel_name, p.kernel_count).unwrap_or(s.len() as u64));
-            (i, p, upto, pruned)
-        })
+        .map(|(i, (p, pruned))| (i, p, pruned))
         .collect();
-    work.sort_by_key(|&(i, _, upto, _)| (upto.unwrap_or(0), i));
+    if let Some(store) = &checkpoints {
+        work.sort_by_cached_key(|(i, p, _)| (target_launch(store, p), *i));
+    }
 
     // Resume: match prior verdicts to the freshly-selected sites by
     // parameter equality (multiset semantics — duplicate selections consume
@@ -470,7 +564,7 @@ pub fn run_transient_campaign_with(
     let mut unused_prior: Vec<Option<InjectionRun>> =
         prior.into_iter().map(|r| if r.outcome.is_infra() { None } else { Some(r) }).collect();
     let mut reloaded: Vec<(usize, InjectionRun)> = Vec::new();
-    work.retain(|&(orig, ref params, _, _)| {
+    work.retain(|(orig, params, _)| {
         let key = site_key(params);
         let hit = unused_prior
             .iter_mut()
@@ -479,7 +573,7 @@ pub fn run_transient_campaign_with(
             Some(slot) => {
                 let mut run = slot.take().expect("slot checked above");
                 run.resumed = true;
-                reloaded.push((orig, run));
+                reloaded.push((*orig, run));
                 false
             }
             None => true,
@@ -493,133 +587,53 @@ pub fn run_transient_campaign_with(
     inj_cfg.wall_deadline = cfg.run_deadline;
     let setup = t_setup.elapsed();
 
-    // Steps 3-4: inject and classify, fanned out over workers sharing the
-    // immutable checkpoint store. Pruned sites short-circuit: the fault
-    // provably cannot propagate, so the run is synthesized as Masked.
-    //
-    // Each site executes behind an isolation boundary: a worker panic or a
-    // deadline overrun costs (after `max_retries` further attempts) only
-    // that site's verdict — recorded as InfraError — never the campaign.
-    let (mut tagged, interrupted) = if let IsolationMode::Process(iso) = &cfg.isolation {
-        // Process isolation: live sites cross the process boundary to a
-        // supervised worker pool; pruned sites never touch a worker — their
-        // Masked verdict is synthesized supervisor-side, exactly as in
-        // thread mode.
-        let mut synthesized: Vec<(usize, InjectionRun)> = Vec::new();
-        let mut live: Vec<(usize, TransientParams)> = Vec::new();
-        for (orig, params, _upto, pruned) in work {
-            if pruned {
-                let run = InjectionRun {
-                    params,
-                    outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                    injected: true,
-                    wall: Duration::ZERO,
-                    prefix_instrs_skipped: 0,
-                    pruned: true,
-                    attempts: 1,
-                    resumed: false,
-                };
-                hooks.on_run(&run);
-                synthesized.push((orig, run));
-            } else {
-                live.push((orig, params));
-            }
-        }
-        let (mut done, stopped) =
-            pool::run_pool(iso, cfg, program.name(), live, &|| hooks.should_stop(), hooks);
-        done.extend(synthesized);
-        (done, stopped)
-    } else {
-        fan_out_until(
-            cfg.workers,
-            work,
-            &|| hooks.should_stop(),
-            |_, (orig, params, upto, pruned): (usize, TransientParams, _, bool)| {
-                if pruned {
-                    let run = InjectionRun {
-                        params,
-                        outcome: Outcome { class: OutcomeClass::Masked, potential_due: false },
-                        injected: true,
-                        wall: Duration::ZERO,
-                        prefix_instrs_skipped: 0,
-                        pruned: true,
-                        attempts: 1,
-                        resumed: false,
-                    };
-                    hooks.on_run(&run);
-                    return (orig, run);
-                }
-                let max_attempts = cfg.max_retries.saturating_add(1);
-                let mut attempts = 0u32;
-                let run = loop {
-                    attempts += 1;
-                    let t = Instant::now();
-                    let attempt = isolate(|| {
+    // Steps 3-4: inject and classify, fanned out over worker slots sharing
+    // the immutable checkpoint store. Each site executes behind an isolation
+    // boundary: a panic, a dead worker or a deadline overrun costs (after
+    // `max_retries` further attempts) only that site's verdict, recorded as
+    // InfraError, never the campaign.
+    let (mut tagged, interrupted) = match &cfg.isolation {
+        IsolationMode::Thread => dispatch(cfg.workers, work, hooks, |_: &mut (), orig, params| {
+            let run =
+                retry(cfg.max_retries, cfg.retry_backoff, InfraKind::WorkerPanic, |attempt| {
+                    isolate(|| {
                         if let Some(hook) = &cfg.fault_hook {
-                            if (hook.0)(orig, attempts) {
+                            if (hook.0)(orig, attempt) {
                                 panic!("fault-hook: injected worker panic");
                             }
                         }
-                        let (tool, handle) = TransientInjector::new(params.clone());
-                        let out = match (&checkpoints, upto) {
-                            (Some(store), Some(upto)) => run_program_fast_forward(
-                                program,
-                                inj_cfg.clone(),
-                                Some(Box::new(tool)),
-                                Arc::clone(store),
-                                upto,
-                            ),
-                            _ => run_program(program, inj_cfg.clone(), Some(Box::new(tool))),
-                        };
-                        let outcome = classify(&golden, &out, check);
-                        (outcome, handle.get().injected, out.prefix_instrs_skipped)
-                    });
-                    let wall = t.elapsed();
-                    match attempt {
-                        Attempt::Finished((outcome, injected, skipped))
-                            if !outcome.is_infra() || attempts >= max_attempts =>
-                        {
-                            break InjectionRun {
-                                params,
-                                outcome,
-                                injected,
-                                wall,
-                                prefix_instrs_skipped: skipped,
-                                pruned: false,
-                                attempts,
-                                resumed: false,
-                            };
-                        }
-                        Attempt::Panicked if attempts >= max_attempts => {
-                            break InjectionRun {
-                                params,
-                                outcome: Outcome {
-                                    class: OutcomeClass::InfraError(InfraKind::WorkerPanic),
-                                    potential_due: false,
-                                },
-                                injected: false,
-                                wall,
-                                prefix_instrs_skipped: 0,
-                                pruned: false,
-                                attempts,
-                                resumed: false,
-                            };
-                        }
-                        // Deadline overrun or panic with attempts remaining.
-                        Attempt::Finished(_) | Attempt::Panicked => {}
-                    }
-                    if !cfg.retry_backoff.is_zero() {
-                        // Deliberate: the retry backoff is a delay, not a wait for an event.
-                        #[allow(clippy::disallowed_methods)]
-                        std::thread::sleep(cfg.retry_backoff * attempts);
-                    }
-                };
-                hooks.on_run(&run);
-                (orig, run)
-            },
-        )
+                        let (outcome, injected, skipped) = inject(
+                            program,
+                            check,
+                            &golden,
+                            checkpoints.as_ref(),
+                            &inj_cfg,
+                            &params,
+                        );
+                        (outcome, (injected, skipped))
+                    })
+                });
+            let (injected, skipped) = run.detail.unwrap_or_default();
+            InjectionRun {
+                params,
+                outcome: run.outcome,
+                injected,
+                wall: run.wall,
+                prefix_instrs_skipped: skipped,
+                pruned: false,
+                attempts: run.attempts,
+                resumed: false,
+            }
+        }),
+        // Live sites cross the process boundary to supervised workers.
+        IsolationMode::Process(iso) => {
+            let init = pool::worker_init(iso, cfg, program.name());
+            dispatch(cfg.workers, work, hooks, |slot: &mut pool::Slot, orig, params| {
+                pool::run_site(iso, cfg, &init, slot, orig, params)
+            })
+        }
     };
-    // fan_out preserved dispatch (grouped) order; report in selection order,
+    // The fan-out preserved dispatch (grouped) order; report in selection order,
     // with reloaded prior verdicts merged back in.
     tagged.extend(reloaded);
     tagged.sort_by_key(|&(orig, _)| orig);
@@ -793,49 +807,25 @@ pub fn run_permanent_campaign(
         .collect();
 
     // Same isolation contract as the transient campaign: a panicked or
-    // deadline-killed experiment is retried, then recorded as InfraError —
-    // one opcode's verdict, not the campaign, is what a runaway run costs.
-    let runs = fan_out(cfg.workers, experiments, |_, (params, weight)| {
-        let max_attempts = cfg.max_retries.saturating_add(1);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let t = Instant::now();
-            let attempt = isolate(|| {
+    // deadline-killed experiment is retried, then recorded as InfraError.
+    let experiment = |_: &mut (), (params, weight): (PermanentParams, u64)| {
+        let run = retry(cfg.max_retries, cfg.retry_backoff, InfraKind::WorkerPanic, |_| {
+            isolate(|| {
                 let (tool, handle) = PermanentInjector::new(params);
                 let out = run_program(program, exp_cfg.clone(), Some(Box::new(tool)));
-                let outcome = classify(&golden, &out, check);
-                (outcome, handle.get().activations)
-            });
-            let wall = t.elapsed();
-            match attempt {
-                Attempt::Finished((outcome, activations))
-                    if !outcome.is_infra() || attempts >= max_attempts =>
-                {
-                    break PermanentRun { params, outcome, weight, activations, wall, attempts };
-                }
-                Attempt::Panicked if attempts >= max_attempts => {
-                    break PermanentRun {
-                        params,
-                        outcome: Outcome {
-                            class: OutcomeClass::InfraError(InfraKind::WorkerPanic),
-                            potential_due: false,
-                        },
-                        weight,
-                        activations: 0,
-                        wall,
-                        attempts,
-                    };
-                }
-                Attempt::Finished(_) | Attempt::Panicked => {}
-            }
-            if !cfg.retry_backoff.is_zero() {
-                // Deliberate: the retry backoff is a delay, not a wait for an event.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::sleep(cfg.retry_backoff * attempts);
-            }
+                (classify(&golden, &out, check), handle.get().activations)
+            })
+        });
+        PermanentRun {
+            params,
+            outcome: run.outcome,
+            weight,
+            activations: run.detail.unwrap_or(0),
+            wall: run.wall,
+            attempts: run.attempts,
         }
-    });
+    };
+    let (runs, _) = fan_out_until(cfg.workers, experiments, &|| false, experiment);
 
     let mut counts = OutcomeCounts::default();
     let mut w = WeightedOutcomes::default();
@@ -870,18 +860,23 @@ pub fn run_permanent_campaign(
 mod tests {
     use super::*;
 
+    fn fan_out<T: Send, R: Send>(
+        workers: usize,
+        items: Vec<T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        fan_out_until(workers, items, &|| false, |_: &mut (), item| f(item)).0
+    }
+
     #[test]
     fn fan_out_preserves_order_and_runs_everything() {
-        let out = fan_out(4, (0..100).collect(), |idx, item: i32| {
-            assert_eq!(idx as i32, item);
-            item * 2
-        });
+        let out = fan_out(4, (0..100).collect(), |item: i32| item * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn fan_out_single_worker() {
-        let out = fan_out(1, vec![1, 2, 3], |_, x: i32| x + 1);
+        let out = fan_out(1, vec![1, 2, 3], |x: i32| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -895,7 +890,7 @@ mod tests {
             1,
             (0..10).collect(),
             &|| done.load(Ordering::SeqCst) >= 3,
-            |_, x: i32| {
+            |_: &mut (), x: i32| {
                 done.fetch_add(1, Ordering::SeqCst);
                 x * 10
             },
@@ -903,15 +898,93 @@ mod tests {
         assert_eq!(out, vec![0, 10, 20]);
         assert!(stopped);
 
-        let (out, stopped) = fan_out_until(2, (0..5).collect(), &|| false, |_, x: i32| x);
+        let (out, stopped) = fan_out_until(2, (0..5).collect(), &|| false, |_: &mut (), x: i32| x);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert!(!stopped);
     }
 
+    /// Each slot's state lives across the items that slot takes and is
+    /// dropped when the queue runs dry: a process slot's worker is shut
+    /// down exactly once per slot.
+    #[test]
+    fn fan_out_keeps_one_state_per_slot_and_drops_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Default)]
+        struct Slot(usize);
+        impl Drop for Slot {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (out, _) = fan_out_until(1, vec![(); 4], &|| false, |slot: &mut Slot, ()| {
+            slot.0 += 1;
+            slot.0
+        });
+        assert_eq!(out, vec![1, 2, 3, 4], "one slot saw every item in turn");
+        assert_eq!(DROPPED.load(Ordering::SeqCst), 1);
+    }
+
     #[test]
     fn isolate_catches_panics() {
-        assert!(matches!(isolate(|| 7), Attempt::Finished(7)));
-        assert!(matches!(isolate(|| -> i32 { panic!("boom") }), Attempt::Panicked));
+        assert_eq!(isolate(|| 7), Some(7));
+        assert_eq!(isolate(|| -> i32 { panic!("boom") }), None);
+    }
+
+    fn masked() -> Outcome {
+        Outcome { class: OutcomeClass::Masked, potential_due: false }
+    }
+
+    fn infra(kind: InfraKind) -> Outcome {
+        Outcome { class: OutcomeClass::InfraError(kind), potential_due: false }
+    }
+
+    #[test]
+    fn retry_stops_at_the_first_verdict() {
+        let mut calls = Vec::new();
+        let run = retry(3, Duration::ZERO, InfraKind::WorkerPanic, |attempt| {
+            calls.push(attempt);
+            (attempt == 2).then(|| (masked(), "ok"))
+        });
+        assert_eq!(calls, vec![1, 2], "a panic is retried, a verdict is kept");
+        assert_eq!((run.outcome, run.detail, run.attempts), (masked(), Some("ok"), 2));
+    }
+
+    #[test]
+    fn retry_records_the_give_up_kind_when_attempts_run_out() {
+        let run = retry(1, Duration::ZERO, InfraKind::WorkerDied, |_| None::<(Outcome, ())>);
+        assert_eq!(
+            (run.outcome, run.detail, run.attempts),
+            (infra(InfraKind::WorkerDied), None, 2)
+        );
+        // An infrastructure outcome is retried too, and kept when it is last.
+        let run = retry(2, Duration::ZERO, InfraKind::WorkerPanic, |_| {
+            Some((infra(InfraKind::Deadline), ()))
+        });
+        assert_eq!((run.outcome, run.attempts), (infra(InfraKind::Deadline), 3));
+        let run = retry(u32::MAX, Duration::ZERO, InfraKind::WorkerPanic, |_| Some((masked(), ())));
+        assert_eq!(run.attempts, 1, "no overflow at the largest budget");
+    }
+
+    /// Workers run with the default runtime, so process isolation refuses a
+    /// custom one before the golden run, and so before any worker spawns.
+    #[test]
+    fn process_isolation_rejects_a_custom_runtime() {
+        struct NeverRun;
+        impl Program for NeverRun {
+            fn name(&self) -> &str {
+                "never-run"
+            }
+            fn run(&self, _: &mut gpu_runtime::Runtime) -> Result<(), gpu_runtime::RuntimeError> {
+                unreachable!("rejected before the golden run")
+            }
+        }
+        let iso = pool::ProcessIsolation::new(vec!["/nonexistent/worker".into()], "test");
+        let mut cfg =
+            CampaignConfig { isolation: IsolationMode::Process(iso), ..Default::default() };
+        cfg.runtime.gpu.num_sms = 2;
+        let err = run_transient_campaign(&NeverRun, &crate::outcome::ExactDiff, &cfg).unwrap_err();
+        assert!(matches!(err, FiError::BadParam { name: "runtime", .. }), "{err}");
     }
 
     #[test]

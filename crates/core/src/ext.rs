@@ -15,13 +15,12 @@ use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A corruption function applied to a destination register (§V: "supporting
 /// corruption functions beyond the current set of XOR, random, and zero").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionFn {
     /// XOR with a mask (the baseline model).
     Xor(u32),
@@ -47,7 +46,7 @@ impl CorruptionFn {
 }
 
 /// When an intermittent/extended fault is active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActivationPattern {
     /// Active on every opportunity (a permanent fault).
     Always,
@@ -70,7 +69,7 @@ pub enum ActivationPattern {
 
 /// An extended fault: one or more opcodes at one (SM, lane), with a chosen
 /// corruption function and activation pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtFault {
     /// Opcodes affected (§V: "allowing a permanent fault to affect multiple
     /// opcodes").
@@ -86,7 +85,7 @@ pub struct ExtFault {
 }
 
 /// Record of an extended-fault run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExtRecord {
     /// Opportunities: target-opcode executions on the target (SM, lane).
     pub opportunities: u64,
@@ -179,13 +178,13 @@ impl NvBitTool for ExtInjector {
 /// Opcodes absent from the dictionary are unaffected. Each entry can carry
 /// its own activation probability, modeling an error-manifestation rate
 /// derived from lower-level simulation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultDictionary {
     entries: BTreeMap<Opcode, DictEntry>,
 }
 
 /// One dictionary entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DictEntry {
     /// Corruption applied when the entry fires.
     pub corruption: CorruptionFn,

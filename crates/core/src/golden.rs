@@ -6,6 +6,7 @@ use gpu_runtime::{
     RuntimeConfig,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The reference outputs every injection run is compared against.
 #[derive(Debug, Clone)]
@@ -56,6 +57,20 @@ pub fn golden_run_recording(
 ) -> Result<(GoldenOutput, CheckpointStore), FiError> {
     let (out, store) = run_program_recording(program, cfg);
     Ok((validate(program, out)?, store))
+}
+
+/// The golden run a campaign (or a process worker) sets itself up with:
+/// with `record`, also the checkpoint store its injection runs share.
+pub(crate) fn golden_setup(
+    program: &dyn Program,
+    cfg: RuntimeConfig,
+    record: bool,
+) -> Result<(GoldenOutput, Option<Arc<CheckpointStore>>), FiError> {
+    if record {
+        golden_run_recording(program, cfg).map(|(g, store)| (g, Some(store.into_shared())))
+    } else {
+        golden_run(program, cfg).map(|g| (g, None))
+    }
 }
 
 fn validate(program: &dyn Program, out: ProgramOutput) -> Result<GoldenOutput, FiError> {

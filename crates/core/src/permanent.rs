@@ -11,11 +11,10 @@ use gpu_isa::{Kernel, Opcode};
 use gpu_runtime::LaunchRecord;
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What a permanent-fault run did (readable after the run).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PermanentRecord {
     /// Times the target opcode executed on the target SM and lane (each one
     /// corrupted).

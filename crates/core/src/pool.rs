@@ -7,23 +7,22 @@
 //! every injection executes in a disposable child process, so the blast
 //! radius of the nastiest fault is one worker, never the campaign.
 //!
-//! The supervisor runs one coordinator thread per worker slot. Each thread
-//! owns one child process speaking the [`crate::worker`] protocol, pulls
-//! sites from a shared queue, and watches the child's frame stream with a
-//! liveness timeout derived from the heartbeat interval. A worker that
-//! dies — killed by a signal, crashed, wedged past the liveness window, or
-//! emitting protocol garbage — is killed for certain, respawned with the
-//! campaign's deterministic backoff, and the in-flight site is re-dispatched
-//! under the existing `max_retries` budget. A site whose attempts run out is
-//! recorded as [`InfraKind::WorkerDied`]: excluded from the paper's outcome
-//! denominators, and re-run by `resume` like every infrastructure verdict.
+//! Process slots ride the campaign's own fan-out: each slot thread owns one
+//! child process ([`Slot`]) speaking the [`crate::worker`] protocol, and
+//! watches the child's frame stream with a liveness timeout derived from
+//! the heartbeat interval. A worker that dies — killed by a signal, crashed,
+//! wedged past the liveness window, or emitting protocol garbage — is killed
+//! for certain, and the campaign's retry loop re-dispatches the in-flight
+//! site to a fresh worker under the existing `max_retries` budget. A site
+//! whose attempts run out is recorded as [`InfraKind::WorkerDied`]: excluded
+//! from the paper's outcome denominators, and re-run by `resume` like every
+//! infrastructure verdict.
 
-use crate::campaign::{CampaignConfig, CampaignHooks, FaultHook, InjectionRun};
+use crate::campaign::{retry, CampaignConfig, FaultHook, InjectionRun};
 use crate::logfile::parse_outcome;
-use crate::outcome::{InfraKind, Outcome, OutcomeClass};
+use crate::outcome::{InfraKind, Outcome};
 use crate::params::TransientParams;
 use crate::worker::{read_frame, write_frame, Msg, WorkerInit};
-use parking_lot::Mutex;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
@@ -158,8 +157,36 @@ impl Worker {
         Some(Worker { child, stdin, events, reader: Some(reader) })
     }
 
-    fn dispatch(&mut self, id: u64, site: &str) -> bool {
-        write_frame(&mut self.stdin, &Msg::Run { id, site: site.to_string() }.to_json()).is_ok()
+    /// Dispatch one site and wait for its verdict with `(injected, skipped
+    /// instructions, worker-side wall time)`. `None` if the worker died
+    /// trying: anything but heartbeats and the matching verdict — an Error
+    /// frame, a mismatched id, corruption, EOF, or a liveness timeout.
+    fn run(
+        &mut self,
+        iso: &ProcessIsolation,
+        orig: usize,
+        site: &str,
+        attempt: u32,
+    ) -> Option<(Outcome, (bool, u64, Duration))> {
+        let id = orig as u64;
+        write_frame(&mut self.stdin, &Msg::Run { id, site: site.to_string() }.to_json()).ok()?;
+        if let Some(hook) = &iso.kill_hook {
+            if (hook.0)(orig, attempt) {
+                send_signal(self.child.id(), SIGKILL);
+            }
+        }
+        loop {
+            match self.events.recv_timeout(iso.liveness()).ok()? {
+                Event::Frame(Msg::Heartbeat) => {}
+                Event::Frame(Msg::Done { id: done, outcome, injected, wall_us, skip_instrs })
+                    if done == id =>
+                {
+                    let wall = Duration::from_micros(wall_us);
+                    return Some((parse_outcome(&outcome)?, (injected, skip_instrs, wall)));
+                }
+                _ => return None,
+            }
+        }
     }
 
     /// Hard-kill the worker and reap it — the path for a worker declared
@@ -230,193 +257,108 @@ fn wait_with_grace(child: &mut Child) -> bool {
 /// timeout) — the caller treats it as a worker death.
 fn spawn_worker(iso: &ProcessIsolation, init: &WorkerInit) -> Option<Worker> {
     let mut worker = Worker::spawn(&iso.command)?;
-    if write_frame(&mut worker.stdin, &Msg::Init(init.clone()).to_json()).is_err() {
-        worker.kill();
-        return None;
-    }
     let deadline = Instant::now() + iso.ready_timeout;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match worker.events.recv_timeout(left) {
+    let mut alive = write_frame(&mut worker.stdin, &Msg::Init(init.clone()).to_json()).is_ok();
+    while alive {
+        match worker.events.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(Event::Frame(Msg::Ready)) => return Some(worker),
             Ok(Event::Frame(Msg::Heartbeat)) => {}
-            _ => {
-                worker.kill();
-                return None;
-            }
+            _ => alive = false,
+        }
+    }
+    worker.kill();
+    None
+}
+
+/// A process slot of the campaign's fan-out: its worker, spawned on the
+/// slot's first dispatch (and again after a death) and shut down when the
+/// slot is dropped at the end of the campaign.
+#[derive(Default)]
+pub(crate) struct Slot(Option<Worker>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if let Some(w) = self.0.take() {
+            w.shutdown();
         }
     }
 }
 
-fn declare_dead(worker: &mut Option<Worker>) {
-    if let Some(w) = worker.take() {
-        w.kill();
-    }
-}
-
-/// One dispatch attempt against the (possibly respawned) worker. Returns
-/// the worker's verdict, or `None` if the worker died trying — in which
-/// case it has already been killed and cleared for respawn.
-fn try_once(
-    iso: &ProcessIsolation,
-    init: &WorkerInit,
-    worker: &mut Option<Worker>,
-    orig: usize,
-    site: &str,
-    attempt: u32,
-) -> Option<(Outcome, bool, u64, u64)> {
-    if worker.is_none() {
-        *worker = spawn_worker(iso, init);
-    }
-    let w = worker.as_mut()?;
-    if !w.dispatch(orig as u64, site) {
-        declare_dead(worker);
-        return None;
-    }
-    if let Some(hook) = &iso.kill_hook {
-        if (hook.0)(orig, attempt) {
-            send_signal(w.child.id(), SIGKILL);
-        }
-    }
-    let liveness = iso.liveness();
-    loop {
-        match w.events.recv_timeout(liveness) {
-            Ok(Event::Frame(Msg::Heartbeat)) => {}
-            Ok(Event::Frame(Msg::Done { id, outcome, injected, wall_us, skip_instrs }))
-                if id == orig as u64 =>
-            {
-                return match parse_outcome(&outcome) {
-                    Some(o) => Some((o, injected, wall_us, skip_instrs)),
-                    None => {
-                        declare_dead(worker);
-                        None
-                    }
-                };
-            }
-            // Anything else — an Error frame, a mismatched verdict id,
-            // corruption, EOF, or liveness timeout — is a dead worker.
-            Ok(_) | Err(_) => {
-                declare_dead(worker);
-                return None;
-            }
-        }
-    }
-}
-
-/// Drive one site to a verdict, retrying through worker deaths and
-/// worker-reported infra failures under the campaign's retry budget.
-fn run_site(
-    iso: &ProcessIsolation,
-    cfg: &CampaignConfig,
-    init: &WorkerInit,
-    worker: &mut Option<Worker>,
-    orig: usize,
-    params: TransientParams,
-) -> InjectionRun {
-    let max_attempts = cfg.max_retries.saturating_add(1);
-    let site = params.to_file();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let t = Instant::now();
-        let verdict = try_once(iso, init, worker, orig, &site, attempts);
-        match verdict {
-            Some((outcome, injected, wall_us, skip_instrs))
-                if !outcome.is_infra() || attempts >= max_attempts =>
-            {
-                break InjectionRun {
-                    params,
-                    outcome,
-                    injected,
-                    wall: Duration::from_micros(wall_us),
-                    prefix_instrs_skipped: skip_instrs,
-                    pruned: false,
-                    attempts,
-                    resumed: false,
-                };
-            }
-            None if attempts >= max_attempts => {
-                break InjectionRun {
-                    params,
-                    outcome: Outcome {
-                        class: OutcomeClass::InfraError(InfraKind::WorkerDied),
-                        potential_due: false,
-                    },
-                    injected: false,
-                    wall: t.elapsed(),
-                    prefix_instrs_skipped: 0,
-                    pruned: false,
-                    attempts,
-                    resumed: false,
-                };
-            }
-            // Worker death or worker-reported infra failure with attempts
-            // remaining: back off and retry (a death also means the next
-            // attempt gets a fresh worker).
-            Some(_) | None => {}
-        }
-        if !cfg.retry_backoff.is_zero() {
-            // Deliberate: the retry backoff is a delay, not a wait for an event.
-            #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(cfg.retry_backoff * attempts);
-        }
-    }
-}
-
-/// Fan `work` out over a pool of supervised worker processes. Returns the
-/// completed `(site index, run)` pairs (unordered) plus whether the pool
-/// stopped early via `stop`. Infallible by design: every failure mode
-/// downgrades to a per-site [`InfraKind::WorkerDied`] verdict.
-pub(crate) fn run_pool(
+/// The init frame every worker of this campaign gets.
+pub(crate) fn worker_init(
     iso: &ProcessIsolation,
     cfg: &CampaignConfig,
     program_name: &str,
-    work: Vec<(usize, TransientParams)>,
-    stop: &(dyn Fn() -> bool + Sync),
-    hooks: &dyn CampaignHooks,
-) -> (Vec<(usize, InjectionRun)>, bool) {
-    let init = WorkerInit {
+) -> WorkerInit {
+    WorkerInit {
         program: program_name.to_string(),
         scale: iso.scale.clone(),
         use_checkpoints: cfg.use_checkpoints,
         deadline_ms: cfg.run_deadline.map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
         heartbeat_ms: u64::try_from(iso.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1),
-    };
-    let total = work.len();
-    let slots = cfg.workers.max(1).min(total.max(1));
-    let queue = Mutex::new(work.into_iter());
-    let results: Mutex<Vec<(usize, InjectionRun)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..slots {
-            s.spawn(|| {
-                let mut worker: Option<Worker> = None;
-                loop {
-                    if stop() {
-                        break;
-                    }
-                    let next = queue.lock().next();
-                    let Some((orig, params)) = next else { break };
-                    let run = run_site(iso, cfg, &init, &mut worker, orig, params);
-                    hooks.on_run(&run);
-                    results.lock().push((orig, run));
-                }
-                if let Some(w) = worker.take() {
-                    w.shutdown();
-                }
-            });
+    }
+}
+
+/// Drive one site to a verdict on `slot`'s worker, retrying through worker
+/// deaths and worker-reported infra failures under the campaign's retry
+/// budget. Infallible by design: every failure mode downgrades to an
+/// [`InfraKind::WorkerDied`] verdict.
+pub(crate) fn run_site(
+    iso: &ProcessIsolation,
+    cfg: &CampaignConfig,
+    init: &WorkerInit,
+    slot: &mut Slot,
+    orig: usize,
+    params: TransientParams,
+) -> InjectionRun {
+    let site = params.to_file();
+    let run = retry(cfg.max_retries, cfg.retry_backoff, InfraKind::WorkerDied, |attempt| {
+        let worker = match &mut slot.0 {
+            Some(w) => w,
+            None => slot.0.insert(spawn_worker(iso, init)?),
+        };
+        let verdict = worker.run(iso, orig, &site, attempt);
+        if verdict.is_none() {
+            // Dead or wedged: kill it for certain; the next attempt respawns.
+            if let Some(w) = slot.0.take() {
+                w.kill();
+            }
         }
+        verdict
     });
-    let out = results.into_inner();
-    let stopped = out.len() < total;
-    (out, stopped)
+    let (injected, skipped, wall) = run.detail.unwrap_or((false, 0, run.wall));
+    InjectionRun {
+        params,
+        outcome: run.outcome,
+        injected,
+        wall,
+        prefix_instrs_skipped: skipped,
+        pruned: false,
+        attempts: run.attempts,
+        resumed: false,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitflip::BitFlipModel;
-    use crate::campaign::NoHooks;
+    use crate::campaign::{dispatch, NoHooks};
     use crate::igid::InstrGroup;
+    use crate::outcome::OutcomeClass;
+
+    /// Run `work` through the campaign's fan-out on process slots.
+    fn run_pool(
+        iso: &ProcessIsolation,
+        cfg: &CampaignConfig,
+        work: Vec<(usize, TransientParams)>,
+    ) -> (Vec<(usize, InjectionRun)>, bool) {
+        let init = worker_init(iso, cfg, "tiny");
+        let work = work.into_iter().map(|(orig, params)| (orig, params, false)).collect();
+        dispatch(cfg.workers, work, &NoHooks, |slot: &mut Slot, orig, params| {
+            run_site(iso, cfg, &init, slot, orig, params)
+        })
+    }
 
     fn site(i: u64) -> TransientParams {
         TransientParams {
@@ -444,7 +386,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let work = vec![(0, site(0)), (1, site(1)), (2, site(2))];
-        let (out, stopped) = run_pool(&iso, &cfg, "tiny", work, &|| false, &NoHooks);
+        let (out, stopped) = run_pool(&iso, &cfg, work);
         assert!(!stopped);
         assert_eq!(out.len(), 3);
         for (_, run) in &out {
@@ -464,7 +406,7 @@ mod tests {
             retry_backoff: Duration::ZERO,
             ..CampaignConfig::default()
         };
-        let (out, stopped) = run_pool(&iso, &cfg, "tiny", vec![(0, site(0))], &|| false, &NoHooks);
+        let (out, stopped) = run_pool(&iso, &cfg, vec![(0, site(0))]);
         assert!(!stopped);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1.outcome.class, OutcomeClass::InfraError(InfraKind::WorkerDied));

@@ -22,12 +22,11 @@ use gpu_runtime::{
 };
 use nvbit::{CallSite, Inserter, NvBit, NvBitTool, When};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Exact or approximate profiling (§III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProfilingMode {
     /// Count every dynamic instruction of every dynamic kernel.
     Exact,
@@ -45,7 +44,7 @@ impl std::fmt::Display for ProfilingMode {
 }
 
 /// Per-opcode dynamic instruction counts of one dynamic kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Kernel name.
     pub kernel: String,
@@ -69,7 +68,7 @@ impl KernelProfile {
 
 /// A fault site located by [`Profile::locate`]: the paper's
 /// `<kernel name, kernel count, instruction count>` tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSite {
     /// Target kernel name.
     pub kernel: String,
@@ -82,7 +81,7 @@ pub struct FaultSite {
 
 /// A program's instruction profile: one entry per dynamic kernel, in launch
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// How the profile was produced.
     pub mode: ProfilingMode,

@@ -26,7 +26,6 @@ use crate::{
     Dst, Guard, Instr, IsaError, Kernel, MemRef, Modifier, Module, Opcode, Operand, PReg, Reg,
     Space, SpecialReg,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes at the start of every module binary.
 pub const MAGIC: [u8; 8] = *b"GSASSMOD";
@@ -37,20 +36,29 @@ pub const VERSION: u16 = 1;
 /// Encoded size of one instruction record, in bytes.
 pub const INSTR_BYTES: usize = 34;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes, context: &'static str) -> Result<String, IsaError> {
-    if buf.remaining() < 2 {
+/// Take the next `N` bytes off the front of `buf`. Callers check that they
+/// are there first, so running short is a bug, not malformed input.
+fn get<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk::<N>().expect("length checked by the caller");
+    *buf = rest;
+    *head
+}
+
+fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, IsaError> {
+    if buf.len() < 2 {
         return Err(IsaError::Truncated { context });
     }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
+    let len = u16::from_le_bytes(get(buf)) as usize;
+    if buf.len() < len {
         return Err(IsaError::Truncated { context });
     }
-    let raw = buf.copy_to_bytes(len);
+    let (raw, rest) = buf.split_at(len);
+    *buf = rest;
     String::from_utf8(raw.to_vec()).map_err(|_| IsaError::BadKernelName)
 }
 
@@ -112,23 +120,22 @@ fn decode_src(tag: u8, payload: u32) -> Result<Operand, IsaError> {
 }
 
 /// Encode a single instruction into `buf`.
-pub fn encode_instr(i: &Instr, buf: &mut BytesMut) {
-    buf.put_u16_le(i.op.encode());
-    buf.put_u8(i.guard.encode());
+pub fn encode_instr(i: &Instr, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&i.op.encode().to_le_bytes());
+    buf.push(i.guard.encode());
     let (mtag, mpayload) = i.modifier.encode();
-    buf.put_u8(mtag);
-    buf.put_u16_le(mpayload);
+    buf.push(mtag);
+    buf.extend_from_slice(&mpayload.to_le_bytes());
     for d in i.dsts {
         let (t, p) = encode_dst(d);
-        buf.put_u8(t);
-        buf.put_u8(p);
+        buf.extend_from_slice(&[t, p]);
     }
     for s in i.srcs {
         let (t, p) = encode_src(s);
-        buf.put_u8(t);
-        buf.put_u32_le(p);
+        buf.push(t);
+        buf.extend_from_slice(&p.to_le_bytes());
     }
-    buf.put_u32_le(i.target);
+    buf.extend_from_slice(&i.target.to_le_bytes());
 }
 
 /// Decode a single instruction from `buf`.
@@ -137,50 +144,47 @@ pub fn encode_instr(i: &Instr, buf: &mut BytesMut) {
 ///
 /// Returns [`IsaError::Truncated`] if fewer than [`INSTR_BYTES`] bytes remain
 /// and other [`IsaError`] variants for malformed fields.
-pub fn decode_instr(buf: &mut Bytes) -> Result<Instr, IsaError> {
-    if buf.remaining() < INSTR_BYTES {
+pub fn decode_instr(buf: &mut &[u8]) -> Result<Instr, IsaError> {
+    if buf.len() < INSTR_BYTES {
         return Err(IsaError::Truncated { context: "instruction record" });
     }
-    let raw_op = buf.get_u16_le();
+    let raw_op = u16::from_le_bytes(get(buf));
     let op = Opcode::decode(raw_op).ok_or(IsaError::UnknownOpcode { value: raw_op })?;
-    let guard = Guard::decode(buf.get_u8());
-    let mtag = buf.get_u8();
-    let mpayload = buf.get_u16_le();
-    let modifier = Modifier::decode(mtag, mpayload)?;
+    let [guard, mtag] = get(buf);
+    let guard = Guard::decode(guard);
+    let modifier = Modifier::decode(mtag, u16::from_le_bytes(get(buf)))?;
     let mut dsts = [Dst::None; crate::instr::MAX_DSTS];
     for d in &mut dsts {
-        let t = buf.get_u8();
-        let p = buf.get_u8();
+        let [t, p] = get(buf);
         *d = decode_dst(t, p)?;
     }
     let mut srcs = [Operand::None; crate::instr::MAX_SRCS];
     for s in &mut srcs {
-        let t = buf.get_u8();
-        let p = buf.get_u32_le();
-        *s = decode_src(t, p)?;
+        let [t] = get(buf);
+        *s = decode_src(t, u32::from_le_bytes(get(buf)))?;
     }
-    let target = buf.get_u32_le();
+    let target = u32::from_le_bytes(get(buf));
     Ok(Instr { guard, op, modifier, dsts, srcs, target })
 }
 
 /// Encode a whole module into a byte vector (the "cubin").
 pub fn encode_module(m: &Module) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         64 + m.kernels().iter().map(|k| 32 + k.len() * INSTR_BYTES).sum::<usize>(),
     );
-    buf.put_slice(&MAGIC);
-    buf.put_u16_le(VERSION);
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     put_str(&mut buf, m.name());
-    buf.put_u32_le(m.kernels().len() as u32);
+    buf.extend_from_slice(&(m.kernels().len() as u32).to_le_bytes());
     for k in m.kernels() {
         put_str(&mut buf, k.name());
-        buf.put_u32_le(k.shared_bytes());
-        buf.put_u32_le(k.len() as u32);
+        buf.extend_from_slice(&k.shared_bytes().to_le_bytes());
+        buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
         for i in k.instrs() {
             encode_instr(i, &mut buf);
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a module binary produced by [`encode_module`].
@@ -190,35 +194,34 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
 /// Returns an [`IsaError`] describing the first malformed field: bad magic,
 /// unsupported version, truncation, unknown opcodes, or malformed operands.
 pub fn decode_module(bytes: &[u8]) -> Result<Module, IsaError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 8 {
+    let mut buf = bytes;
+    if buf.len() < 8 {
         return Err(IsaError::Truncated { context: "module magic" });
     }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
+    let magic: [u8; 8] = get(&mut buf);
     if magic != MAGIC {
         return Err(IsaError::BadMagic { found: magic });
     }
-    if buf.remaining() < 2 {
+    if buf.len() < 2 {
         return Err(IsaError::Truncated { context: "module version" });
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(get(&mut buf));
     if version != VERSION {
         return Err(IsaError::BadVersion { found: version });
     }
     let mod_name = get_str(&mut buf, "module name")?;
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(IsaError::Truncated { context: "kernel count" });
     }
-    let nkernels = buf.get_u32_le();
+    let nkernels = u32::from_le_bytes(get(&mut buf));
     let mut kernels = Vec::with_capacity(nkernels as usize);
     for _ in 0..nkernels {
         let name = get_str(&mut buf, "kernel name")?;
-        if buf.remaining() < 8 {
+        if buf.len() < 8 {
             return Err(IsaError::Truncated { context: "kernel header" });
         }
-        let shared_bytes = buf.get_u32_le();
-        let ninstr = buf.get_u32_le();
+        let shared_bytes = u32::from_le_bytes(get(&mut buf));
+        let ninstr = u32::from_le_bytes(get(&mut buf));
         let mut instrs = Vec::with_capacity(ninstr as usize);
         for _ in 0..ninstr {
             instrs.push(decode_instr(&mut buf)?);
@@ -256,7 +259,7 @@ mod tests {
 
     #[test]
     fn instr_record_is_fixed_width() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_instr(&sample_instr(), &mut buf);
         assert_eq!(buf.len(), INSTR_BYTES);
     }
@@ -264,10 +267,9 @@ mod tests {
     #[test]
     fn instr_roundtrip() {
         let i = sample_instr();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_instr(&i, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_instr(&mut bytes).expect("decode");
+        let back = decode_instr(&mut &buf[..]).expect("decode");
         assert_eq!(back, i);
     }
 

@@ -13,7 +13,6 @@
 //!   illegal-instruction trap, exactly like running an unsupported encoding
 //!   on real hardware.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Destination-based instruction classification.
@@ -22,7 +21,7 @@ use std::fmt;
 /// (instruction group) parameter from: FP64 and FP32 arithmetic, memory
 /// reads, predicate-only writers, instructions with no destination, and
 /// everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrClass {
     /// FP64 arithmetic writing a general-purpose register pair.
     Fp64,
@@ -70,7 +69,7 @@ impl fmt::Display for InstrClass {
 /// opcodes (e.g. `FADD` and `FADD32I`) share a family and differ only in
 /// their operand kinds. Families the synthetic workloads cannot reach are
 /// collapsed into [`ExecFamily::Unimplemented`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 // The variant names *are* the semantics (FAdd = FP32 add, …); per-variant
 // doc comments would only repeat them.
 #[allow(missing_docs)]
@@ -175,7 +174,7 @@ macro_rules! opcodes {
         /// A SASS-like opcode. See the module documentation for the
         /// table's provenance; there are exactly `OPCODE_COUNT` (171)
         /// opcodes.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         // Variants are the SASS mnemonics themselves; see the table below.
         #[allow(non_camel_case_types, missing_docs)]
         #[repr(u16)]

@@ -6,7 +6,6 @@ use crate::grid::Dim3;
 use crate::hooks::Instrumentation;
 use crate::memory::GlobalMem;
 use gpu_isa::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// Maximum threads per block, matching CUDA.
 pub const MAX_BLOCK_THREADS: u64 = 1024;
@@ -17,7 +16,7 @@ pub const MAX_PARAM_BYTES: usize = 4096;
 /// Simulated device configuration.
 ///
 /// Defaults model a Titan V (the paper's evaluation GPU): 80 SMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors; blocks are assigned
     /// `sm = block_id % num_sms`.
@@ -91,7 +90,7 @@ pub struct Launch<'a> {
 }
 
 /// Statistics from a (possibly partial) launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Guard-passing thread-level dynamic instructions executed.
     pub dyn_instrs: u64,

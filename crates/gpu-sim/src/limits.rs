@@ -8,14 +8,12 @@
 //! run is classified as a DUE (Table V, OS-detected) and the harness moves
 //! on to the next injection.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource caps enforced by the simulator and runtime.
 ///
 /// Defaults are deliberately generous — far above what any of the example
 /// workloads' golden runs use — so the governor only ever fires on
 /// fault-corrupted executions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Maximum bytes of live global-memory allocations per run
     /// (the `cudaMalloc` budget). Must not exceed device capacity to be

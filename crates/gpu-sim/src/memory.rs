@@ -7,12 +7,11 @@
 
 use crate::trap::TrapKind;
 use gpu_isa::{MemWidth, Space};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// A device pointer into global memory (32-bit address space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevPtr(pub u32);
 
 impl DevPtr {

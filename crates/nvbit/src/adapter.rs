@@ -7,7 +7,6 @@ use gpu_isa::{Instr, Kernel, Module};
 use gpu_runtime::{InstrMasks, KernelLaunchInfo, LaunchRecord, RunSummary, Tool};
 use gpu_sim::{ExecHook, InstrSite, ThreadCtx};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -68,7 +67,7 @@ pub trait NvBitTool: Send {
 
 /// Counters describing what the framework did — used by the overhead
 /// benches and by tests asserting the caching behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NvBitStats {
     /// Static kernels instrumented (JIT compilations).
     pub kernels_instrumented: u64,

@@ -3,8 +3,9 @@
 //! and a panicking or runaway worker costs only its own run's verdict.
 
 use nvbitfi::{
-    logfile, run_transient_campaign, run_transient_campaign_with, CampaignConfig, CampaignHooks,
-    FaultHook, InjectionRun, NoHooks, OutcomeClass, ProfilingMode,
+    logfile, run_permanent_campaign, run_transient_campaign, run_transient_campaign_with,
+    CampaignConfig, CampaignHooks, FaultHook, InjectionRun, NoHooks, OutcomeClass,
+    PermanentCampaignConfig, ProfilingMode, WeightedOutcomes,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -180,4 +181,33 @@ fn expired_deadline_is_an_infra_error_not_a_crash() {
     assert_eq!(resumed.counts.infra, 0, "infra verdicts get a fresh attempt on resume");
     assert_eq!(resumed.resumed_runs(), 0);
     assert_eq!(resumed.counts.total(), 6);
+}
+
+/// Permanent campaigns retry through the same contract: an overrun
+/// experiment is re-attempted `max_retries` times, then recorded as
+/// `InfraError(Deadline)` and dropped from the weighted denominator.
+#[test]
+fn permanent_deadline_overruns_are_retried_then_recorded_as_infra() {
+    let program = Omriq { scale: Scale::Test };
+    let check = Omriq::check();
+    for (max_retries, attempts) in [(1, 2), (0, 1)] {
+        let cfg = PermanentCampaignConfig {
+            workers: 2,
+            max_retries,
+            retry_backoff: Duration::ZERO,
+            run_deadline: Some(Duration::ZERO), // every experiment overruns
+            ..PermanentCampaignConfig::default()
+        };
+        let result = run_permanent_campaign(&program, &check, &cfg).expect("campaign survives");
+        assert!(!result.runs.is_empty());
+        for r in &result.runs {
+            assert_eq!(
+                r.outcome.class,
+                OutcomeClass::InfraError(nvbitfi::InfraKind::Deadline),
+                "zero deadline records InfraError(Deadline)"
+            );
+            assert_eq!(r.attempts, attempts, "max_retries={max_retries}");
+        }
+        assert_eq!(result.weighted, WeightedOutcomes::default(), "no verdict carries weight");
+    }
 }

@@ -151,11 +151,10 @@ prop_compose! {
 proptest! {
     #[test]
     fn instruction_encoding_roundtrips(instr in arb_instr()) {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         encode::encode_instr(&instr, &mut buf);
         prop_assert_eq!(buf.len(), encode::INSTR_BYTES);
-        let mut bytes = buf.freeze();
-        let back = encode::decode_instr(&mut bytes).expect("decode");
+        let back = encode::decode_instr(&mut &buf[..]).expect("decode");
         prop_assert_eq!(back, instr);
     }
 
